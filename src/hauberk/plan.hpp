@@ -1,8 +1,7 @@
 // Structured selective-hardening plans.
 //
-// A HardeningPlan is the first-class replacement for the stringly
-// TranslateOptions::pipeline_override hook: per-kernel, per-loop, and
-// per-variable decisions about which Hauberk detectors to place —
+// A HardeningPlan is how selective hardening is expressed: per-kernel,
+// per-loop, and per-variable decisions about which Hauberk detectors to place —
 // Hauberk-L loop checks (accumulator + range + iteration invariants),
 // non-loop checksum+duplication, the naive Fig. 8(b) shadow-duplication
 // ablation — or nothing at all.  Plans

@@ -1,7 +1,6 @@
 #include "swifi/campaign.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 
 #include "common/bitops.hpp"
@@ -27,21 +26,6 @@ const char* outcome_name(Outcome o) noexcept {
     case Outcome::EccDetectedUncorrectable: return "ecc-uncorrectable";
   }
   return "?";
-}
-
-void OutcomeCounts::add(Outcome o) noexcept {
-  switch (o) {
-    case Outcome::Failure: ++failure; break;
-    case Outcome::Masked: ++masked; break;
-    case Outcome::DetectedMasked: ++detected_masked; break;
-    case Outcome::Detected: ++detected; break;
-    case Outcome::Undetected: ++undetected; break;
-    case Outcome::NotActivated: ++not_activated; break;
-    case Outcome::RaceDetected: ++race_detected; break;
-    case Outcome::BarrierDivergence: ++barrier_divergence; break;
-    case Outcome::EccCorrected: ++ecc_corrected; break;
-    case Outcome::EccDetectedUncorrectable: ++ecc_uncorrectable; break;
-  }
 }
 
 void OutcomeCounts::add(Outcome o, std::uint64_t n) noexcept {
@@ -70,11 +54,7 @@ GoldenRun golden_run(Device& dev, const kir::BytecodeProgram& program, core::Ker
   if (res.status != LaunchStatus::Ok)
     throw std::runtime_error("swifi golden run failed: " +
                              std::string(gpusim::launch_status_name(res.status)));
-  GoldenRun g;
-  g.output = job.read_output(dev);
-  g.per_thread_instructions =
-      res.instructions / std::max<std::uint64_t>(1, res.threads);
-  return g;
+  return {job.read_output(dev), res.instructions / std::max<std::uint64_t>(1, res.threads)};
 }
 
 std::vector<FaultSpec> plan_faults(const kir::BytecodeProgram& fi_program,
@@ -127,23 +107,6 @@ std::vector<FaultSpec> plan_faults(const kir::BytecodeProgram& fi_program,
 
 namespace {
 
-Outcome classify(const gpusim::LaunchResult& res, bool alarm, const core::ProgramOutput& out,
-                 const core::ProgramOutput& golden, const workloads::Requirement& req) {
-  // Hardware-ECC taxonomy first: an uncorrectable (double-bit) error kills
-  // the kernel but is *detected* — it never reaches results silently, so it
-  // gets its own class instead of folding into Failure.  A run that finished
-  // clean only because the code corrected a single-bit memory error is
-  // EccCorrected rather than Masked: the hardware, not luck or the workload's
-  // tolerance, absorbed the fault.  Detector alarms keep priority — if
-  // Hauberk also fired, the trial stays in the Detected classes.
-  if (res.status == LaunchStatus::EccUncorrectable) return Outcome::EccDetectedUncorrectable;
-  if (res.status != LaunchStatus::Ok) return Outcome::Failure;
-  const bool correct = req.satisfied(out, golden);
-  if (alarm) return correct ? Outcome::DetectedMasked : Outcome::Detected;
-  if (correct && res.ecc_corrected > 0) return Outcome::EccCorrected;
-  return correct ? Outcome::Masked : Outcome::Undetected;
-}
-
 /// Sanitizer-based reclassification: when the trial ran under
 /// ExecEngine::Sanitizer, faults that turned the kernel racy or broke
 /// barrier uniformity are reported as their own outcome classes instead of
@@ -160,6 +123,89 @@ std::optional<Outcome> sanitizer_outcome(const Device& dev, const gpusim::Launch
   if (divergence) return Outcome::BarrierDivergence;
   if (race) return Outcome::RaceDetected;
   return std::nullopt;
+}
+
+/// How one trial's fault gets in — the only thing the three trial kinds do
+/// differently.  A register fault arms `hooks` (the FI hook flips the
+/// targeted definition during the launch and reports activation); a memory
+/// fault upsets one stored word drawn from `rng` after staging; a code
+/// fault launches a bit-flipped mutant as `program`.
+struct FaultPlanter {
+  const kir::BytecodeProgram* program = nullptr;
+  InjectingHooks* hooks = nullptr;
+  common::Rng* rng = nullptr;
+  std::uint32_t mask = 0;
+};
+
+/// Raw upset of one uniformly chosen live word, drawn over physical storage
+/// indices (PagedCpu addresses are sparse).  Raw planting bypasses the
+/// encoder, so ECC sees a real cell upset.  Check-bit cells are DRAM too:
+/// under protection a second draw puts the strike in the pair's check byte
+/// with probability 8/72.  Unprotected trials skip that draw, keeping their
+/// RNG stream — and every existing golden — bitwise unchanged.  Returns
+/// false when there is no live word to corrupt.
+bool plant_memory_upset(gpusim::DeviceMemory& mem, common::Rng& rng, std::uint32_t mask) {
+  if (mem.used_words() == 0) return false;
+  const auto idx = static_cast<std::uint32_t>(rng.next_below(mem.used_words()));
+  if (mem.protection() != gpusim::ecc::Scheme::None) {
+    const auto r = static_cast<std::uint32_t>(rng.next_below(gpusim::ecc::kCodeBits));
+    if (r >= gpusim::ecc::kDataBits) {
+      mem.corrupt_check(idx, static_cast<std::uint8_t>(1u << (r - gpusim::ecc::kDataBits)));
+      return true;
+    }
+  }
+  mem.corrupt_word(idx, mask);
+  return true;
+}
+
+/// The one SWIFI trial pipeline: stage -> plant -> launch -> activation and
+/// sanitizer checks -> status map -> copy-out -> classify.  With a stage,
+/// memory is re-staged from its cached image; without one, job.setup()
+/// stages it fresh.  Both leave bitwise-identical device state.
+Outcome run_trial(Device& dev, core::KernelJob& job, core::ControlBlock* cb,
+                  const FaultPlanter& fault, const core::ProgramOutput& golden,
+                  const workloads::Requirement& req, std::uint64_t watchdog,
+                  int launch_workers, std::size_t sanitize_cap, TrialStage* stage) {
+  std::vector<kir::Value> own_args;
+  if (!stage) own_args = job.setup(dev);
+  const std::vector<kir::Value>& args = stage ? stage->stage() : own_args;
+  if (fault.rng && !plant_memory_upset(dev.mem(), *fault.rng, fault.mask))
+    return Outcome::NotActivated;
+
+  if (cb) cb->reset_results();
+  LaunchOptions opts;
+  opts.hooks = fault.hooks ? static_cast<gpusim::LaunchHooks*>(fault.hooks) : cb;
+  opts.watchdog_instructions = watchdog;
+  opts.max_workers = launch_workers;
+  opts.sanitize_report_cap = sanitize_cap;
+  const auto res = dev.launch(*fault.program, job.config(), args, opts);
+  if (fault.hooks && !fault.hooks->activated() && res.status == LaunchStatus::Ok)
+    return Outcome::NotActivated;
+  if (const auto so = sanitizer_outcome(dev, res)) return *so;
+  // Hardware-ECC taxonomy first: an uncorrectable (double-bit) error kills
+  // the kernel but is *detected* — it never reaches results silently, so it
+  // gets its own class instead of folding into Failure.
+  if (res.status == LaunchStatus::EccUncorrectable) return Outcome::EccDetectedUncorrectable;
+  if (res.status != LaunchStatus::Ok) return Outcome::Failure;
+  core::ProgramOutput out;
+  try {
+    out = job.read_output(dev);
+  } catch (const std::out_of_range&) {
+    // The kernel never touched the corrupted pair, but the device->host
+    // output copy did: the machine check fires on the copy-out exactly as it
+    // would on a device read.  Detected, never silent.
+    return gpusim::DeviceMemory::last_fault_uncorrectable() ? Outcome::EccDetectedUncorrectable
+                                                            : Outcome::Failure;
+  }
+  // Detector alarms keep priority over ECC.  A run that finished clean only
+  // because the code corrected a single-bit memory error is EccCorrected
+  // rather than Masked: the hardware, not luck or the workload's tolerance,
+  // absorbed the fault.
+  const bool correct = req.satisfied(out, golden);
+  if (res.sdc_alarm || (cb && cb->sdc_detected()))
+    return correct ? Outcome::DetectedMasked : Outcome::Detected;
+  if (correct && res.ecc_corrected > 0) return Outcome::EccCorrected;
+  return correct ? Outcome::Masked : Outcome::Undetected;
 }
 
 }  // namespace
@@ -183,51 +229,14 @@ Outcome run_one_fault(Device& dev, const kir::BytecodeProgram& program, core::Ke
                       std::size_t sanitize_cap, TrialStage* stage) {
   InjectingHooks hooks(program, cb);
   hooks.arm(spec);
-  std::vector<kir::Value> own_args;
-  if (!stage) own_args = job.setup(dev);
-  const std::vector<kir::Value>& args = stage ? stage->stage() : own_args;
-  if (cb) cb->reset_results();
-  LaunchOptions opts;
-  opts.hooks = &hooks;
-  opts.watchdog_instructions = watchdog_instructions;
-  opts.max_workers = launch_workers;
-  opts.sanitize_report_cap = sanitize_cap;
-  const auto res = dev.launch(program, job.config(), args, opts);
-  if (!hooks.activated() && res.status == LaunchStatus::Ok) return Outcome::NotActivated;
-  if (const auto so = sanitizer_outcome(dev, res)) return *so;
-  if (res.status != LaunchStatus::Ok)
-    return res.status == LaunchStatus::EccUncorrectable ? Outcome::EccDetectedUncorrectable
-                                                        : Outcome::Failure;
-  const auto out = job.read_output(dev);
-  const bool alarm = res.sdc_alarm || (cb && cb->sdc_detected());
-  return classify(res, alarm, out, golden, req);
+  return run_trial(dev, job, cb, {.program = &program, .hooks = &hooks},
+                   golden, req, watchdog_instructions, launch_workers, sanitize_cap, stage);
 }
 
 std::uint64_t campaign_watchdog(const GoldenRun& gold, const CampaignConfig& cfg) noexcept {
   return std::max(cfg.hang_floor,
                   static_cast<std::uint64_t>(
                       static_cast<double>(gold.per_thread_instructions) * cfg.hang_factor));
-}
-
-CampaignResult run_campaign(Device& dev, const kir::BytecodeProgram& program,
-                            core::KernelJob& job, core::ControlBlock* cb,
-                            const std::vector<FaultSpec>& specs,
-                            const workloads::Requirement& req, const CampaignConfig& cfg) {
-  dev.set_engine(cfg.effective_engine());
-  const GoldenRun gold = golden_run(dev, program, job, cb, cfg.launch_workers);
-  const std::uint64_t watchdog = campaign_watchdog(gold, cfg);
-  CampaignResult result;
-  result.pipeline = cfg.pipeline.name;
-  if (cfg.pipeline.report) result.remark_digest = core::remark_digest(*cfg.pipeline.report);
-  result.per_fault.reserve(specs.size());
-  TrialStage stage(dev, job);
-  for (const FaultSpec& spec : specs) {
-    const Outcome o = run_one_fault(dev, program, job, cb, spec, gold.output, req, watchdog,
-                                    cfg.launch_workers, cfg.sanitize_cap, &stage);
-    result.counts.add(o);
-    result.per_fault.push_back(o);
-  }
-  return result;
 }
 
 // ---------------------------------------------------------------------------
@@ -239,62 +248,19 @@ Outcome run_one_memory_fault(Device& dev, const kir::BytecodeProgram& program,
                              const core::ProgramOutput& golden,
                              const workloads::Requirement& req,
                              std::uint64_t watchdog_instructions, int launch_workers,
-                             std::size_t sanitize_cap, core::ControlBlock* cb) {
-  const auto args = job.setup(dev);
-  // Corrupt one random live word of device memory ("data segment" fault).
-  const std::uint32_t used = dev.mem().used_words();
-  if (used == 0) return Outcome::NotActivated;
-  // Addresses in PagedCpu mode are sparse; walk allocations via image().
-  auto img = dev.mem().image();
-  const std::uint32_t idx = static_cast<std::uint32_t>(rng.next_below(img.size()));
-  if (dev.mem().protection() == gpusim::ecc::Scheme::None) {
-    img[idx] ^= mask;
-    dev.mem().restore(img);
-  } else {
-    // Protected arena: restore() models an ECC-clean host upload and
-    // re-encodes, so the memory-cell upset must be planted raw *after*
-    // staging.  Check-bit cells are DRAM too: 8 of the codeword's 72 bit
-    // positions live in the shadow byte, so with probability 8/72 the strike
-    // lands there instead (a single check-bit flip — correctable, and a
-    // correct model of a one-cell upset in the check storage).  The extra
-    // draw only happens under protection, keeping the unprotected RNG
-    // sequence — and therefore every existing golden — bitwise unchanged.
-    const std::uint32_t r =
-        static_cast<std::uint32_t>(rng.next_below(gpusim::ecc::kCodeBits));
-    if (r >= gpusim::ecc::kDataBits)
-      dev.mem().corrupt_check(idx, static_cast<std::uint8_t>(
-                                       1u << (r - gpusim::ecc::kDataBits)));
-    else
-      dev.mem().corrupt_word(idx, mask);
-  }
-
-  if (cb) cb->reset_results();
-  LaunchOptions opts;
-  opts.hooks = cb;
-  opts.watchdog_instructions = watchdog_instructions;
-  opts.max_workers = launch_workers;
-  opts.sanitize_report_cap = sanitize_cap;
-  const auto res = dev.launch(program, job.config(), args, opts);
-  if (const auto so = sanitizer_outcome(dev, res)) return *so;
-  if (res.status != LaunchStatus::Ok)
-    return res.status == LaunchStatus::EccUncorrectable ? Outcome::EccDetectedUncorrectable
-                                                        : Outcome::Failure;
-  core::ProgramOutput out;
-  try {
-    out = job.read_output(dev);
-  } catch (const std::out_of_range&) {
-    // The kernel never touched the corrupted pair, but the device->host
-    // output copy did: the machine check fires on the copy-out exactly as it
-    // would on a device read.  Detected, never silent.
-    return gpusim::DeviceMemory::last_fault_uncorrectable()
-               ? Outcome::EccDetectedUncorrectable
-               : Outcome::Failure;
-  }
-  const bool alarm = res.sdc_alarm || (cb && cb->sdc_detected());
-  return classify(res, alarm, out, golden, req);
+                             std::size_t sanitize_cap, core::ControlBlock* cb,
+                             TrialStage* stage) {
+  return run_trial(dev, job, cb, {.program = &program, .rng = &rng, .mask = mask},
+                   golden, req, watchdog_instructions, launch_workers, sanitize_cap, stage);
 }
 
 bool validate_program(const kir::BytecodeProgram& p) {
+  // Control must never fall off the end: the engines fetch code[pc] without
+  // a bounds check, so the last instruction has to be one that cannot fall
+  // through (a Halt, or a Jmp whose target is checked below).
+  if (p.code.empty() ||
+      (p.code.back().op != kir::OpCode::Halt && p.code.back().op != kir::OpCode::Jmp))
+    return false;
   const auto max_op = static_cast<std::uint8_t>(kir::OpCode::FIHook);
   for (const kir::Instr& in : p.code) {
     if (static_cast<std::uint8_t>(in.op) > max_op) return false;
@@ -342,7 +308,7 @@ Outcome run_one_code_fault(Device& dev, const kir::BytecodeProgram& program,
                            const core::ProgramOutput& golden,
                            const workloads::Requirement& req,
                            std::uint64_t watchdog_instructions, int launch_workers,
-                           std::size_t sanitize_cap) {
+                           std::size_t sanitize_cap, TrialStage* stage) {
   kir::BytecodeProgram mutant = program;
   if (mutant.code.empty()) return Outcome::NotActivated;
   const std::size_t instr = rng.next_below(mutant.code.size());
@@ -352,19 +318,8 @@ Outcome run_one_code_fault(Device& dev, const kir::BytecodeProgram& program,
 
   // An undecodable mutant traps at fetch: illegal-instruction failure.
   if (!validate_program(mutant)) return Outcome::Failure;
-
-  const auto args = job.setup(dev);
-  LaunchOptions opts;
-  opts.watchdog_instructions = watchdog_instructions;
-  opts.max_workers = launch_workers;
-  opts.sanitize_report_cap = sanitize_cap;
-  const auto res = dev.launch(mutant, job.config(), args, opts);
-  if (const auto so = sanitizer_outcome(dev, res)) return *so;
-  if (res.status != LaunchStatus::Ok)
-    return res.status == LaunchStatus::EccUncorrectable ? Outcome::EccDetectedUncorrectable
-                                                        : Outcome::Failure;
-  const auto out = job.read_output(dev);
-  return classify(res, res.sdc_alarm, out, golden, req);
+  return run_trial(dev, job, nullptr, {.program = &mutant},
+                   golden, req, watchdog_instructions, launch_workers, sanitize_cap, stage);
 }
 
 }  // namespace hauberk::swifi

@@ -1,8 +1,12 @@
 // Fault-injection campaign harness (Sections VII/VIII): plans fault targets
-// from profiler execution counts, runs one experiment per fault, and
-// classifies outcomes against the golden run and the program's correctness
-// requirement.  Also provides the memory-word and code-segment fault modes
-// used for the Fig. 1 CPU-program rows.
+// from profiler execution counts and classifies each injection against the
+// golden run and the program's correctness requirement.
+//
+// Register faults, memory-word upsets and code-segment mutants (the Fig. 1
+// CPU rows) all run through one trial pipeline — stage, plant, launch,
+// check, copy out, classify — and differ only in how they plant the fault.
+// Every campaign driver hands trials to it through one fan-out
+// (swifi/executor.hpp).
 #pragma once
 
 #include <functional>
@@ -149,7 +153,8 @@ class TrialStage {
 /// Run one injection experiment.  `cb` may be null (FI without FT).
 /// `launch_workers` caps block-level workers of the trial launch (0 = hw).
 /// `stage`, when given, re-stages memory via its cached image instead of a
-/// fresh job.setup() — the campaign drivers pass one stage per device.
+/// fresh job.setup() (the same device state, bitwise) — the campaign
+/// drivers pass one stage per device.
 [[nodiscard]] Outcome run_one_fault(gpusim::Device& dev, const kir::BytecodeProgram& program,
                                     core::KernelJob& job, core::ControlBlock* cb,
                                     const FaultSpec& spec,
@@ -162,9 +167,9 @@ class TrialStage {
                                     TrialStage* stage = nullptr);
 
 /// Run a whole campaign on one device: one launch per spec against a shared
-/// golden run, trials strictly in spec order.  This is the single-worker
-/// path; CampaignExecutor (swifi/executor.hpp) runs the same trials across
-/// a worker pool with bitwise-identical results.
+/// golden run, trials strictly in spec order.  This is the campaign fan-out
+/// run inline on the caller's device; CampaignExecutor (swifi/executor.hpp)
+/// runs the same trials across a worker pool with bitwise-identical results.
 [[nodiscard]] CampaignResult run_campaign(gpusim::Device& dev,
                                           const kir::BytecodeProgram& program,
                                           core::KernelJob& job, core::ControlBlock* cb,
@@ -176,11 +181,11 @@ class TrialStage {
 // Memory-data and code-segment faults (Fig. 1 CPU rows)
 // ---------------------------------------------------------------------------
 
-/// Flip `mask` into a uniformly chosen live memory word after job setup,
-/// then run and classify.  On a protected device the flip is planted raw
-/// (corrupt_word / corrupt_check) after staging, so hardware ECC actually
-/// sees a cell upset; `cb`, when given, arms Hauberk's range detectors for
-/// the run (the hardware-vs-Hauberk study runs all four combinations).
+/// Flip `mask` into a uniformly chosen live memory word after staging, then
+/// run and classify.  The flip is planted raw (corrupt_word / corrupt_check),
+/// so on a protected device hardware ECC actually sees a cell upset; `cb`,
+/// when given, arms Hauberk's range detectors for the run (the
+/// hardware-vs-Hauberk study runs all four combinations).
 [[nodiscard]] Outcome run_one_memory_fault(gpusim::Device& dev,
                                            const kir::BytecodeProgram& program,
                                            core::KernelJob& job, common::Rng& rng,
@@ -191,7 +196,8 @@ class TrialStage {
                                            int launch_workers = 0,
                                            std::size_t sanitize_cap =
                                                gpusim::SharedShadow::kMaxReportsPerBlock,
-                                           core::ControlBlock* cb = nullptr);
+                                           core::ControlBlock* cb = nullptr,
+                                           TrialStage* stage = nullptr);
 
 /// Flip one random bit in one random instruction encoding ("code segment"
 /// fault).  Structurally invalid mutants are classified as Failure without
@@ -204,10 +210,12 @@ class TrialStage {
                                          std::uint64_t watchdog_instructions,
                                          int launch_workers = 0,
                                          std::size_t sanitize_cap =
-                                             gpusim::SharedShadow::kMaxReportsPerBlock);
+                                             gpusim::SharedShadow::kMaxReportsPerBlock,
+                                         TrialStage* stage = nullptr);
 
 /// Structural validity check used by code-fault experiments: register
-/// indices in range, opcodes decodable, jump targets inside the program.
+/// indices in range, opcodes decodable, jump targets inside the program, and
+/// a last instruction control cannot fall through (Halt or Jmp).
 [[nodiscard]] bool validate_program(const kir::BytecodeProgram& p);
 
 /// Fault-free run to obtain the golden output and the watchdog baseline.

@@ -1,20 +1,21 @@
-// Parallel SWIFI campaign engine.
+// Parallel SWIFI campaign engine and the one trial fan-out behind every
+// campaign driver.
 //
-// A campaign is thousands of independent fault-injection trials: each trial
-// re-stages device memory via its job's setup(), launches once, and
-// classifies the outcome against a shared golden run.  Trials never share
-// mutable state, so the executor runs them concurrently across a persistent
-// pool of campaign workers, each owning a private simulated Device (plus its
-// own KernelJob staging and ControlBlock clone).  The parallelism is
+// Campaign trials never share mutable state, so they run concurrently
+// across campaign workers, each owning a private simulated Device (plus its
+// own KernelJob, TrialStage and ControlBlock clone).  The parallelism is
 // inverted relative to a single launch: trial launches run with one
 // block-worker (CampaignConfig::launch_workers = 1 — no nested pool churn,
 // no core oversubscription) while campaign workers scale to hardware
 // concurrency.
 //
-// Determinism guarantee: results are bitwise identical for every worker
-// count.  Outcomes are written into per_fault by trial index, OutcomeCounts
-// is reduced from that vector afterwards, and any per-trial randomness is
-// forked from (seed, trial_index) rather than drawn from a shared stream.
+// run_campaign, CampaignExecutor and CampaignService (swifi/service.hpp)
+// all run their trials through run_fan_out(): workers claim trial ordinals
+// from one atomic counter, and whichever completes the frontier trial
+// commits every finished outcome in ordinal order — there is no committer
+// thread.  Every trial is a pure function of its ordinal (randomness is
+// forked from (seed, trial_index)), so results are bitwise identical for
+// every worker count.
 #pragma once
 
 #include <cstdint>
@@ -46,6 +47,43 @@ struct WorkerContext {
 /// outcomes (the executor never tells the factory which worker it serves).
 using WorkerContextFactory = std::function<WorkerContext()>;
 
+/// Borrowed view of the resources one worker runs trials on: a
+/// WorkerContext's, or for run_campaign the caller's own device and job.
+struct TrialContext {
+  gpusim::Device* device = nullptr;
+  core::KernelJob* job = nullptr;
+  core::ControlBlock* cb = nullptr;
+  TrialStage* stage = nullptr;
+};
+
+/// One trial by ordinal.  Must be a pure function of the ordinal.
+using TrialFn = std::function<Outcome(const TrialContext&, const GoldenRun&,
+                                      std::uint64_t watchdog, std::uint64_t ordinal)>;
+/// Receives every outcome exactly once, in ordinal order, one call at a time.
+using CommitFn = std::function<void(std::uint64_t ordinal, Outcome)>;
+
+/// One campaign's trials for run_fan_out: ordinals [begin, end).
+struct FanOut {
+  const kir::BytecodeProgram& program;  ///< golden-run program
+  const CampaignConfig& cfg;
+  /// Pool workers run the trials, one context per participating worker
+  /// built by `make_context`.  Null: `inline_ctx` runs every trial on the
+  /// calling thread.
+  common::WorkerPool* pool = nullptr;
+  const WorkerContextFactory* make_context = nullptr;
+  TrialContext inline_ctx{};
+  std::uint64_t begin = 0;
+  std::uint64_t end = 0;
+  TrialFn trial{};
+  CommitFn commit{};
+};
+
+/// Builds min(pool workers, max(end - begin, 1)) contexts, sets the
+/// campaign engine on each, runs the golden run on the first, then runs
+/// every trial and commits it in order.  The first exception thrown by a
+/// trial or a commit stops the other workers and is rethrown here.
+void run_fan_out(const FanOut& f);
+
 /// Persistent campaign engine.  Construct once, reuse across campaigns:
 /// the worker threads survive between run() calls, only the per-campaign
 /// contexts are rebuilt (programs, datasets and detector configurations
@@ -54,7 +92,6 @@ class CampaignExecutor {
  public:
   /// `workers` == 0 selects hardware concurrency.
   explicit CampaignExecutor(int workers = 0);
-  ~CampaignExecutor();
   CampaignExecutor(const CampaignExecutor&) = delete;
   CampaignExecutor& operator=(const CampaignExecutor&) = delete;
 
@@ -88,15 +125,6 @@ class CampaignExecutor {
                                                const CampaignConfig& cfg = {});
 
  private:
-  /// Shared fan-out: builds one context per participating worker, runs the
-  /// golden run on the first, then distributes trial indices dynamically.
-  /// `trial(ctx, gold, watchdog, index)` must be pure per index.
-  [[nodiscard]] CampaignResult run_trials(
-      const kir::BytecodeProgram& program, const WorkerContextFactory& make_context,
-      std::size_t trial_count, const CampaignConfig& cfg,
-      const std::function<Outcome(WorkerContext&, const GoldenRun&, std::uint64_t,
-                                  std::size_t)>& trial);
-
   common::WorkerPool pool_;
 };
 

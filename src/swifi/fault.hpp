@@ -68,10 +68,9 @@ struct OutcomeCounts {
   std::uint64_t ecc_corrected = 0;
   std::uint64_t ecc_uncorrectable = 0;
 
-  void add(Outcome o) noexcept;
-  /// Weighted accumulation: one representative trial standing for `n`
-  /// equivalent fault specs (campaign pruning).
-  void add(Outcome o, std::uint64_t n) noexcept;
+  /// Count `o` `n` times: a pruned campaign's representative trial stands
+  /// for `n` equivalent fault specs.
+  void add(Outcome o, std::uint64_t n = 1) noexcept;
   [[nodiscard]] std::uint64_t activated() const noexcept {
     return failure + masked + detected_masked + detected + undetected +
            race_detected + barrier_divergence + ecc_corrected + ecc_uncorrectable;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 
 #include "common/bitops.hpp"
@@ -19,32 +20,27 @@ namespace {
 
 constexpr std::size_t kHeaderBytes = 32;
 
+struct FileCloser {
+  void operator()(std::FILE* f) const noexcept { std::fclose(f); }
+};
+using File = std::unique_ptr<std::FILE, FileCloser>;
+
+/// The on-disk header, field for field: naturally aligned, so no padding.
 struct RawHeader {
   std::uint32_t magic;
   std::uint16_t version;
   std::uint16_t record_bytes;
   ResultLogHeader h;
 };
+static_assert(sizeof(RawHeader) == kHeaderBytes, "header layout is part of the file format");
 
 void write_header(std::FILE* f, const ResultLogHeader& h) {
-  const std::uint16_t version = kResultLogVersion;
-  const std::uint16_t rec = sizeof(ResultRecord);
-  if (std::fwrite(&kResultLogMagic, 4, 1, f) != 1 || std::fwrite(&version, 2, 1, f) != 1 ||
-      std::fwrite(&rec, 2, 1, f) != 1 || std::fwrite(&h.shards, 4, 1, f) != 1 ||
-      std::fwrite(&h.shard_index, 4, 1, f) != 1 ||
-      std::fwrite(&h.config_digest, 8, 1, f) != 1 ||
-      std::fwrite(&h.total_trials, 8, 1, f) != 1)
+  const RawHeader raw{kResultLogMagic, kResultLogVersion, sizeof(ResultRecord), h};
+  if (std::fwrite(&raw, sizeof(raw), 1, f) != 1)
     throw std::runtime_error("resultlog: short header write");
 }
 
-bool read_header(std::FILE* f, RawHeader& out) {
-  return std::fread(&out.magic, 4, 1, f) == 1 && std::fread(&out.version, 2, 1, f) == 1 &&
-         std::fread(&out.record_bytes, 2, 1, f) == 1 &&
-         std::fread(&out.h.shards, 4, 1, f) == 1 &&
-         std::fread(&out.h.shard_index, 4, 1, f) == 1 &&
-         std::fread(&out.h.config_digest, 8, 1, f) == 1 &&
-         std::fread(&out.h.total_trials, 8, 1, f) == 1;
-}
+bool read_header(std::FILE* f, RawHeader& out) { return std::fread(&out, sizeof(out), 1, f) == 1; }
 
 }  // namespace
 
@@ -65,7 +61,8 @@ void ResultLogWriter::create(const std::string& path, const ResultLogHeader& hea
 void ResultLogWriter::reopen(const std::string& path, const ResultLogHeader& header,
                              std::uint64_t payload_bytes, std::uint32_t payload_crc) {
   close();
-  std::FILE* f = std::fopen(path.c_str(), "rb+");
+  File file(std::fopen(path.c_str(), "rb+"));
+  std::FILE* f = file.get();
   if (!f)
     throw core::CheckpointError("resultlog: cannot reopen '" + path + "' for resume");
   RawHeader raw{};
@@ -76,17 +73,13 @@ void ResultLogWriter::reopen(const std::string& path, const ResultLogHeader& hea
                          raw.h.shard_index == header.shard_index &&
                          raw.h.config_digest == header.config_digest &&
                          raw.h.total_trials == header.total_trials;
-  if (!header_ok) {
-    std::fclose(f);
+  if (!header_ok)
     throw core::CheckpointError("resultlog: '" + path +
                                 "' header does not match the resumed campaign");
-  }
   // Truncate away anything the checkpoint does not vouch for (appends and
   // torn writes after the last checkpoint), then verify what is left.
-  if (ftruncate(fileno(f), static_cast<off_t>(kHeaderBytes + payload_bytes)) != 0) {
-    std::fclose(f);
+  if (ftruncate(fileno(f), static_cast<off_t>(kHeaderBytes + payload_bytes)) != 0)
     throw core::CheckpointError("resultlog: truncate of '" + path + "' failed");
-  }
   std::uint32_t crc = 0;
   std::uint64_t remaining = payload_bytes;
   std::fseek(f, static_cast<long>(kHeaderBytes), SEEK_SET);
@@ -94,21 +87,17 @@ void ResultLogWriter::reopen(const std::string& path, const ResultLogHeader& hea
   while (remaining > 0) {
     const std::size_t want =
         remaining < sizeof(buf) ? static_cast<std::size_t>(remaining) : sizeof(buf);
-    if (std::fread(buf, 1, want, f) != want) {
-      std::fclose(f);
+    if (std::fread(buf, 1, want, f) != want)
       throw core::CheckpointError("resultlog: '" + path +
                                   "' is shorter than its checkpoint claims");
-    }
     crc = common::crc32(buf, want, crc);
     remaining -= want;
   }
-  if (crc != payload_crc) {
-    std::fclose(f);
+  if (crc != payload_crc)
     throw core::CheckpointError("resultlog: '" + path +
                                 "' record stream fails the checkpointed CRC");
-  }
   std::fseek(f, 0, SEEK_END);
-  file_ = f;
+  file_ = file.release();
   path_ = path;
   payload_bytes_ = payload_bytes;
   payload_crc_ = payload_crc;
@@ -141,23 +130,18 @@ OutcomeCounts ResultLogData::counts() const {
 }
 
 ResultLogData read_result_log(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
+  const File file(std::fopen(path.c_str(), "rb"));
+  std::FILE* f = file.get();
   if (!f) throw std::runtime_error("resultlog: cannot open '" + path + "'");
   RawHeader raw{};
-  if (!read_header(f, raw)) {
-    std::fclose(f);
+  if (!read_header(f, raw))
     throw std::runtime_error("resultlog: '" + path + "' is too short for a header");
-  }
-  if (raw.magic != kResultLogMagic) {
-    std::fclose(f);
+  if (raw.magic != kResultLogMagic)
     throw std::runtime_error("resultlog: '" + path + "' has wrong magic");
-  }
-  if (raw.version != kResultLogVersion || raw.record_bytes != sizeof(ResultRecord)) {
-    std::fclose(f);
+  if (raw.version != kResultLogVersion || raw.record_bytes != sizeof(ResultRecord))
     throw std::runtime_error("resultlog: '" + path + "' has unsupported version " +
                              std::to_string(raw.version) + " / record size " +
                              std::to_string(raw.record_bytes));
-  }
   ResultLogData data;
   data.header = raw.h;
   ResultRecord rec;
@@ -169,7 +153,6 @@ ResultLogData read_result_log(const std::string& path) {
     }
     data.records.push_back(rec);
   }
-  std::fclose(f);
   return data;
 }
 

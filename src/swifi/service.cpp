@@ -1,17 +1,11 @@
 #include "swifi/service.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <bit>
-#include <exception>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "common/worker_pool.hpp"
 #include "hauberk/checkpoint.hpp"
-#include "swifi/queue.hpp"
 #include "swifi/resultlog.hpp"
 
 namespace hauberk::swifi {
@@ -31,6 +25,14 @@ void fnv(std::uint64_t& h, std::uint64_t v) noexcept {
 void fnv_f64(std::uint64_t& h, double v) noexcept {
   fnv(h, std::bit_cast<std::uint64_t>(v));
 }
+
+/// The outcome counters in checkpoint order (v2 appended the two ECC ones).
+constexpr std::uint64_t OutcomeCounts::*kCountFields[] = {
+    &OutcomeCounts::failure,        &OutcomeCounts::masked,
+    &OutcomeCounts::detected_masked, &OutcomeCounts::detected,
+    &OutcomeCounts::undetected,     &OutcomeCounts::not_activated,
+    &OutcomeCounts::race_detected,  &OutcomeCounts::barrier_divergence,
+    &OutcomeCounts::ecc_corrected,  &OutcomeCounts::ecc_uncorrectable};
 
 }  // namespace
 
@@ -88,16 +90,7 @@ void CampaignCheckpoint::save(const std::string& path) const {
   w.u32(shard_index);
   w.u64(trials_total);
   w.u64(watermark);
-  w.u64(counts.failure);
-  w.u64(counts.masked);
-  w.u64(counts.detected_masked);
-  w.u64(counts.detected);
-  w.u64(counts.undetected);
-  w.u64(counts.not_activated);
-  w.u64(counts.race_detected);
-  w.u64(counts.barrier_divergence);
-  w.u64(counts.ecc_corrected);
-  w.u64(counts.ecc_uncorrectable);
+  for (const auto field : kCountFields) w.u64(counts.*field);
   for (const auto c : site_hist.raw_counts()) w.u64(c);
   for (const auto c : sdc_site_hist.raw_counts()) w.u64(c);
   w.u64(remark_digest);
@@ -116,16 +109,7 @@ CampaignCheckpoint CampaignCheckpoint::load(const std::string& path) {
   ck.shard_index = r.u32();
   ck.trials_total = r.u64();
   ck.watermark = r.u64();
-  ck.counts.failure = r.u64();
-  ck.counts.masked = r.u64();
-  ck.counts.detected_masked = r.u64();
-  ck.counts.detected = r.u64();
-  ck.counts.undetected = r.u64();
-  ck.counts.not_activated = r.u64();
-  ck.counts.race_detected = r.u64();
-  ck.counts.barrier_divergence = r.u64();
-  ck.counts.ecc_corrected = r.u64();
-  ck.counts.ecc_uncorrectable = r.u64();
+  for (const auto field : kCountFields) ck.counts.*field = r.u64();
   std::array<std::uint64_t, common::Log2Histogram::kBuckets> buckets;
   for (auto& c : buckets) c = r.u64();
   ck.site_hist.restore(buckets);
@@ -145,16 +129,7 @@ void ServiceResult::merge(const ServiceResult& other) {
     throw std::invalid_argument("ServiceResult::merge: shards from different campaigns");
   if (other.remark_digest != remark_digest)
     throw std::invalid_argument("ServiceResult::merge: remark digests differ");
-  counts.failure += other.counts.failure;
-  counts.masked += other.counts.masked;
-  counts.detected_masked += other.counts.detected_masked;
-  counts.detected += other.counts.detected;
-  counts.undetected += other.counts.undetected;
-  counts.not_activated += other.counts.not_activated;
-  counts.race_detected += other.counts.race_detected;
-  counts.barrier_divergence += other.counts.barrier_divergence;
-  counts.ecc_corrected += other.counts.ecc_corrected;
-  counts.ecc_uncorrectable += other.counts.ecc_uncorrectable;
+  for (const auto field : kCountFields) counts.*field += other.counts.*field;
   site_hist.merge(other.site_hist);
   sdc_site_hist.merge(other.sdc_site_hist);
   shard_trials += other.shard_trials;
@@ -202,22 +177,17 @@ ServiceResult CampaignService::run(const kir::BytecodeProgram& program,
   CampaignCheckpoint resumed;
   if (cfg_.resume) {
     resumed = CampaignCheckpoint::load(cfg_.checkpoint_path);
+    const auto reject = [&](const std::string& why) {
+      throw core::CheckpointError("checkpoint: '" + cfg_.checkpoint_path + "' " + why);
+    };
     if (resumed.config_digest != digest)
-      throw core::CheckpointError("checkpoint: '" + cfg_.checkpoint_path +
-                                  "' belongs to a different campaign (config digest "
-                                  "mismatch)");
+      reject("belongs to a different campaign (config digest mismatch)");
     if (resumed.shards != K || resumed.shard_index != I)
-      throw core::CheckpointError("checkpoint: '" + cfg_.checkpoint_path +
-                                  "' was written for shard " +
-                                  std::to_string(resumed.shard_index) + "/" +
-                                  std::to_string(resumed.shards) +
-                                  ", not this instance's shard");
+      reject("was written for shard " + std::to_string(resumed.shard_index) + "/" +
+             std::to_string(resumed.shards) + ", not this instance's shard");
     if (resumed.trials_total != total || resumed.watermark > mine)
-      throw core::CheckpointError("checkpoint: '" + cfg_.checkpoint_path +
-                                  "' trial accounting does not fit this campaign");
-    if (resumed.remark_digest != remark_digest)
-      throw core::CheckpointError("checkpoint: '" + cfg_.checkpoint_path +
-                                  "' pipeline remark digest mismatch");
+      reject("trial accounting does not fit this campaign");
+    if (resumed.remark_digest != remark_digest) reject("pipeline remark digest mismatch");
     watermark = resumed.watermark;
     result.counts = resumed.counts;
     result.site_hist = resumed.site_hist;
@@ -228,11 +198,10 @@ ServiceResult CampaignService::run(const kir::BytecodeProgram& program,
 
   // --- result log -----------------------------------------------------------
   ResultLogWriter log;
-  ResultLogHeader log_header;
-  log_header.shards = static_cast<std::uint32_t>(K);
-  log_header.shard_index = static_cast<std::uint32_t>(I);
-  log_header.config_digest = digest;
-  log_header.total_trials = total;
+  const ResultLogHeader log_header{.shards = static_cast<std::uint32_t>(K),
+                                   .shard_index = static_cast<std::uint32_t>(I),
+                                   .config_digest = digest,
+                                   .total_trials = total};
   if (!cfg_.resultlog_path.empty()) {
     if (cfg_.resume)
       log.reopen(cfg_.resultlog_path, log_header, resumed.log_payload_bytes,
@@ -241,8 +210,7 @@ ServiceResult CampaignService::run(const kir::BytecodeProgram& program,
       log.create(cfg_.resultlog_path, log_header);
   }
 
-  const auto write_checkpoint = [&](std::uint64_t committed, std::uint64_t written,
-                                    bool invoke_hook) {
+  const auto write_checkpoint = [&](std::uint64_t committed, bool invoke_hook) {
     log.flush();
     CampaignCheckpoint ck;
     ck.config_digest = digest;
@@ -256,144 +224,62 @@ ServiceResult CampaignService::run(const kir::BytecodeProgram& program,
     ck.remark_digest = remark_digest;
     ck.log_payload_bytes = log.is_open() ? log.payload_bytes() : 0;
     ck.log_payload_crc = log.is_open() ? log.payload_crc() : 0;
-    ck.checkpoints_written = prior_checkpoints + written;
+    ck.checkpoints_written = prior_checkpoints + result.checkpoints_written;
     ck.save(cfg_.checkpoint_path);
     if (invoke_hook && cfg_.on_checkpoint) cfg_.on_checkpoint(ck);
   };
 
   if (watermark >= mine) {
     // Nothing left to run (fresh empty shard, or resume of a finished one).
-    if (!cfg_.checkpoint_path.empty()) write_checkpoint(mine, 0, false);
-    log.close();
+    if (!cfg_.checkpoint_path.empty()) write_checkpoint(mine, false);
     return result;
   }
 
-  // --- contexts and golden run ---------------------------------------------
-  const std::uint64_t remaining = mine - watermark;
-  const unsigned hw = cfg_.workers > 0 ? static_cast<unsigned>(cfg_.workers)
-                                       : common::WorkerPool::default_workers();
-  const std::size_t nw =
-      std::min<std::size_t>(hw, static_cast<std::size_t>(std::max<std::uint64_t>(remaining, 1)));
-  std::vector<WorkerContext> ctxs;
-  ctxs.reserve(nw);
-  for (std::size_t i = 0; i < nw; ++i) {
-    ctxs.push_back(make_context());
-    if (!ctxs.back().device || !ctxs.back().job)
-      throw std::invalid_argument(
-          "swifi: WorkerContextFactory must provide a device and a job");
-    ctxs.back().device->set_engine(cfg_.campaign.effective_engine());
-  }
-  const GoldenRun gold = golden_run(*ctxs[0].device, program, *ctxs[0].job, ctxs[0].cb.get(),
-                                    cfg_.campaign.launch_workers);
-  const std::uint64_t watchdog = campaign_watchdog(gold, cfg_.campaign);
-
-  // --- trial pump -----------------------------------------------------------
-  // The reorder window bounds how far execution may run ahead of the
-  // in-order committer; together with the queue capacity it is the entire
-  // per-trial memory footprint, independent of campaign size.
-  const std::size_t window = std::max<std::size_t>(256, nw * 16);
-  struct Slot {
-    std::atomic<std::uint32_t> ready{0};
-    std::uint8_t outcome = 0;
-  };
-  std::vector<Slot> slots(window);
-  TrialQueue queue(window);
-  std::atomic<bool> abort{false};
-  std::mutex error_mu;
-  std::exception_ptr first_error;
-
-  const auto worker_main = [&](WorkerContext& ctx) {
-    try {
-      if (!ctx.stage) ctx.stage = std::make_unique<TrialStage>(*ctx.device, *ctx.job);
-      std::uint64_t k;
-      for (;;) {
-        if (abort.load(std::memory_order_acquire)) return;
-        if (!queue.try_pop(k)) {
-          if (queue.closed()) return;
-          std::this_thread::yield();
-          continue;
-        }
-        const std::uint64_t trial = I + k * K;
-        const Outcome o = run_one_fault(
-            *ctx.device, program, *ctx.job, ctx.cb.get(), specs[trial], gold.output, req,
-            watchdog, cfg_.campaign.launch_workers, cfg_.campaign.sanitize_cap,
-            ctx.stage.get());
-        Slot& slot = slots[k % window];
-        slot.outcome = static_cast<std::uint8_t>(o);
-        slot.ready.store(1, std::memory_order_release);
-      }
-    } catch (...) {
-      {
-        const std::lock_guard<std::mutex> lock(error_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-      abort.store(true, std::memory_order_release);
+  // --- trials ---------------------------------------------------------------
+  // Ordinal k is trial I + k*K; outcomes commit in ordinal order, so every
+  // aggregate, log byte and checkpoint is a pure function of the trial index.
+  common::WorkerPool pool(cfg_.workers > 0 ? static_cast<unsigned>(cfg_.workers)
+                                           : common::WorkerPool::default_workers());
+  FanOut f{.program = program,
+           .cfg = cfg_.campaign,
+           .pool = &pool,
+           .make_context = &make_context,
+           .begin = watermark,
+           .end = mine,
+           .trial = [&](const TrialContext& c, const GoldenRun& gold, std::uint64_t watchdog,
+                        std::uint64_t k) {
+             return run_one_fault(*c.device, program, *c.job, c.cb, specs[I + k * K],
+                                  gold.output, req, watchdog, cfg_.campaign.launch_workers,
+                                  cfg_.campaign.sanitize_cap, c.stage);
+           }};
+  f.commit = [&](std::uint64_t k, Outcome o) {
+    const std::uint64_t trial = I + k * K;
+    const std::uint64_t weight = cfg_.campaign.trial_weight(trial);
+    result.counts.add(o, weight);
+    result.site_hist.add(specs[trial].site_id, weight);
+    if (o == Outcome::Undetected) result.sdc_site_hist.add(specs[trial].site_id, weight);
+    if (log.is_open()) {
+      ResultRecord rec;
+      rec.trial = static_cast<std::uint32_t>(trial);
+      rec.outcome = static_cast<std::uint8_t>(o);
+      rec.set_weight(weight);
+      log.append(rec);
+    }
+    ++result.trials_run;
+    const std::uint64_t committed = k + 1;
+    if (cfg_.checkpoint_every > 0 && committed < mine &&
+        (committed - watermark) % cfg_.checkpoint_every == 0) {
+      ++result.checkpoints_written;
+      write_checkpoint(committed, true);
     }
   };
-
-  std::vector<std::thread> workers;
-  workers.reserve(nw);
-  for (std::size_t i = 0; i < nw; ++i) workers.emplace_back(worker_main, std::ref(ctxs[i]));
-
-  const auto shutdown = [&] {
-    abort.store(true, std::memory_order_release);
-    queue.close();
-    for (auto& t : workers)
-      if (t.joinable()) t.join();
-  };
-
-  try {
-    std::uint64_t next = watermark;      // next ordinal to enqueue
-    std::uint64_t committed = watermark; // ordinals committed in order
-    std::uint64_t last_ckpt = watermark;
-    std::uint64_t written = 0;
-    while (committed < mine) {
-      if (abort.load(std::memory_order_acquire)) break;
-      // Feed the queue up to the window edge.
-      while (next < mine && next < committed + window && queue.try_push(next)) ++next;
-      // Commit every contiguous completed trial, in trial order.
-      bool progressed = false;
-      while (committed < mine) {
-        Slot& slot = slots[committed % window];
-        if (slot.ready.load(std::memory_order_acquire) != 1) break;
-        const auto o = static_cast<Outcome>(slot.outcome);
-        slot.ready.store(0, std::memory_order_relaxed);
-        const std::uint64_t trial = I + committed * K;
-        const std::uint64_t weight = cfg_.campaign.trial_weight(trial);
-        result.counts.add(o, weight);
-        result.site_hist.add(specs[trial].site_id, weight);
-        if (o == Outcome::Undetected) result.sdc_site_hist.add(specs[trial].site_id, weight);
-        if (log.is_open()) {
-          ResultRecord rec;
-          rec.trial = static_cast<std::uint32_t>(trial);
-          rec.outcome = static_cast<std::uint8_t>(o);
-          rec.set_weight(weight);
-          log.append(rec);
-        }
-        ++committed;
-        ++result.trials_run;
-        progressed = true;
-        if (cfg_.checkpoint_every > 0 && committed < mine &&
-            committed - last_ckpt >= cfg_.checkpoint_every) {
-          ++written;
-          result.checkpoints_written = written;
-          write_checkpoint(committed, written, true);
-          last_ckpt = committed;
-        }
-      }
-      if (!progressed) std::this_thread::yield();
-    }
-    shutdown();
-    if (first_error) std::rethrow_exception(first_error);
-    // Completion checkpoint: records watermark == mine so a redundant
-    // resume is a no-op.  No hook — the campaign is done, there is nothing
-    // a kill here could lose.
-    if (!cfg_.checkpoint_path.empty()) write_checkpoint(mine, written, false);
-  } catch (...) {
-    shutdown();
-    log.close();
-    throw;
-  }
+  // A throw (a failed trial, an I/O error, a test's simulated kill) leaves
+  // the log to its destructor, which closes it.
+  run_fan_out(f);
+  // Completion checkpoint: records watermark == mine so a redundant resume
+  // is a no-op.  No hook — the campaign is done, there is nothing a kill
+  // here could lose.
+  if (!cfg_.checkpoint_path.empty()) write_checkpoint(mine, false);
   log.flush();
   log.close();
   return result;

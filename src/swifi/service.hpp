@@ -4,7 +4,7 @@
 // this process, and give me the outcome vector".  The campaign sizes the
 // paper's methodology actually needs — millions of trials per configuration
 // for tight SDC-coverage confidence intervals — outlive single processes
-// and single machines, so CampaignService promotes that loop to a
+// and single machines, so CampaignService runs the same fan-out behind a
 // production-shaped driver:
 //
 //  * Sharding.  Trial i belongs to shard (i mod K); a service instance runs
@@ -13,12 +13,13 @@
 //    coordination, and the merged results are bitwise identical to one
 //    process running everything.
 //
-//  * Lock-free trial distribution.  Within a shard, worker threads pull
-//    trial ordinals from a bounded MPMC queue (swifi/queue.hpp) and publish
-//    outcomes into a fixed reorder window; the service thread commits
-//    outcomes strictly in trial order.  Results never depend on scheduling:
-//    the same bitwise-invariance contract as CampaignExecutor, now extended
-//    across shard counts and process restarts.
+//  * In-order commits.  Within a shard, trials run through the same
+//    fan-out as CampaignExecutor (run_fan_out, swifi/executor.hpp): workers
+//    claim ordinals from one atomic counter and outcomes commit strictly in
+//    trial order into the counts, histograms, result log and checkpoints.
+//    Results never depend on scheduling: the same bitwise-invariance
+//    contract as CampaignExecutor, extended across shard counts and
+//    process restarts.
 //
 //  * Checkpoint / resume.  Every checkpoint_every committed trials the
 //    service writes a versioned, CRC-guarded campaign checkpoint

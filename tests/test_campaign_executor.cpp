@@ -4,6 +4,9 @@
 // exactly with the single-device run_campaign path.
 #include <gtest/gtest.h>
 
+#include "common/bitops.hpp"
+#include "common/rng.hpp"
+
 #include "hauberk/runtime.hpp"
 #include "swifi/campaign.hpp"
 #include "swifi/executor.hpp"
@@ -32,10 +35,11 @@ struct Fixture {
 
   /// Every invocation stages the same dataset and (optionally) an
   /// identically configured control block — the factory contract.
-  [[nodiscard]] WorkerContextFactory factory(bool with_cb) const {
-    return [this, with_cb] {
+  [[nodiscard]] WorkerContextFactory factory(bool with_cb,
+                                             gpusim::DeviceProps props = {}) const {
+    return [this, with_cb, props] {
       WorkerContext ctx;
-      ctx.device = std::make_unique<gpusim::Device>();
+      ctx.device = std::make_unique<gpusim::Device>(props);
       ctx.job = w->make_job(ds);
       if (with_cb) ctx.cb = core::make_configured_control_block(v.fift, pd);
       return ctx;
@@ -140,6 +144,92 @@ TEST(CampaignExecutor, CodeFaultCampaignInvariant) {
         ex.run_code_faults(f.v.baseline, f.factory(false), 9, 50, f.w->requirement());
     expect_same_result(base, res, "code-fault campaign");
   }
+}
+
+TEST(CampaignExecutor, StagedTrialsMatchFreshlySetUpTrials) {
+  // Campaign workers re-stage every trial from a TrialStage image; the
+  // public wrappers without a stage run job.setup() on every trial.  Both
+  // must leave bitwise-identical device state, so every trial's outcome
+  // must agree — on flat, ECC-protected and paged memory alike.
+  struct Kind {
+    const char* name;
+    gpusim::MemoryModel model;
+    gpusim::ecc::Scheme protection;
+  };
+  const Kind kinds[] = {{"FlatGpu/None", gpusim::MemoryModel::FlatGpu, gpusim::ecc::Scheme::None},
+                        {"FlatGpu/Hsiao", gpusim::MemoryModel::FlatGpu, gpusim::ecc::Scheme::Hsiao},
+                        {"PagedCpu", gpusim::MemoryModel::PagedCpu, gpusim::ecc::Scheme::None}};
+  Fixture f(make_sad());
+  const std::uint64_t seed = 13;
+  const int trials = 40;
+  const int bits = 2;
+  for (const Kind& k : kinds) {
+    gpusim::DeviceProps props;
+    props.memory_model = k.model;
+    props.protection = k.protection;
+    CampaignExecutor ex(3);
+    const CampaignConfig cfg;
+    const auto mem =
+        ex.run_memory_faults(f.v.baseline, f.factory(false, props), seed, trials, bits,
+                             f.w->requirement(), cfg);
+    const auto code =
+        ex.run_code_faults(f.v.baseline, f.factory(false, props), seed, trials,
+                           f.w->requirement(), cfg);
+
+    gpusim::Device dev(props);
+    auto job = f.w->make_job(f.ds);
+    const auto gold = golden_run(dev, f.v.baseline, *job, nullptr, cfg.launch_workers);
+    const std::uint64_t watchdog = campaign_watchdog(gold, cfg);
+    for (int i = 0; i < trials; ++i) {
+      common::Rng rng = common::Rng::fork(seed, static_cast<std::uint64_t>(i));
+      const std::uint32_t mask = common::random_mask(rng, bits);
+      EXPECT_EQ(mem.per_fault[i],
+                run_one_memory_fault(dev, f.v.baseline, *job, rng, mask, gold.output,
+                                     f.w->requirement(), watchdog, cfg.launch_workers,
+                                     cfg.sanitize_cap))
+          << k.name << " memory trial " << i;
+      rng = common::Rng::fork(seed, static_cast<std::uint64_t>(i));
+      EXPECT_EQ(code.per_fault[i],
+                run_one_code_fault(dev, f.v.baseline, *job, rng, gold.output,
+                                   f.w->requirement(), watchdog, cfg.launch_workers,
+                                   cfg.sanitize_cap))
+          << k.name << " code trial " << i;
+    }
+  }
+}
+
+TEST(CampaignExecutor, CodeCampaignWithFallThroughMutantsRunsToCompletion) {
+  // Trials 5, 494 and 711 of this campaign flip the final Halt of
+  // cpu-histogram into an opcode control can fall through; the engines
+  // used to fetch past the end of the decoded stream on them.  Under
+  // ASan/UBSan this is a memory-safety regression test.
+  auto w = make_cpu_histogram();
+  const auto v = core::build_variants(w->build_kernel(Scale::Small));
+  const auto ds = w->make_dataset(1, Scale::Small);
+  const std::uint64_t seed = common::Rng::fork(1, 2002).next_u64();
+  for (const std::uint64_t t : {5u, 494u, 711u}) {
+    common::Rng rng = common::Rng::fork(seed, t);
+    EXPECT_EQ(rng.next_below(v.baseline.code.size()), v.baseline.code.size() - 1)
+        << "trial " << t << " must mutate the final instruction";
+    EXPECT_LT(rng.next_below(sizeof(kir::Instr) * 8), 8u)
+        << "trial " << t << " must flip an opcode bit";
+  }
+  gpusim::DeviceProps props;
+  props.memory_model = gpusim::MemoryModel::PagedCpu;
+  props.num_sms = 1;
+  CampaignExecutor ex(2);
+  const auto res = ex.run_code_faults(
+      v.baseline,
+      [&] {
+        WorkerContext ctx;
+        ctx.device = std::make_unique<gpusim::Device>(props);
+        ctx.job = w->make_job(ds);
+        return ctx;
+      },
+      seed, 720, w->requirement());
+  ASSERT_EQ(res.per_fault.size(), 720u);
+  for (const std::size_t t : {5u, 494u, 711u})
+    EXPECT_EQ(res.per_fault[t], Outcome::Failure) << "fall-through mutant " << t << " traps";
 }
 
 TEST(CampaignExecutor, EmptySpecsYieldEmptyResult) {

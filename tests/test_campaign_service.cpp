@@ -187,6 +187,33 @@ TEST(CampaignService, WorkerCountInvariantIncludingLogBytes) {
   }
 }
 
+TEST(CampaignService, FanOutCommitsEveryOrdinalOnceInOrder) {
+  // Longer than four reorder windows (256 trials at 8 workers), so workers
+  // wrap the window many times and wait at its edge; every trial must still
+  // commit exactly once, in ordinal order, with 1-worker counts.
+  Fixture f(make_cp());
+  std::vector<FaultSpec> specs;
+  while (specs.size() <= 4 * 256) specs.insert(specs.end(), f.specs.begin(), f.specs.end());
+
+  ServiceConfig one_cfg;
+  one_cfg.workers = 1;
+  CampaignService one(one_cfg);
+  const auto ref = one.run(f.prog(), f.factory(), specs, f.w->requirement());
+
+  ServiceConfig cfg;
+  cfg.workers = 8;
+  cfg.resultlog_path = tmp_path("fanout.log");
+  CampaignService service(cfg);
+  const auto res = service.run(f.prog(), f.factory(), specs, f.w->requirement());
+  expect_same_aggregates(ref, res, "8 workers vs 1");
+  EXPECT_EQ(res.trials_run, specs.size());
+
+  const auto log = read_result_log(cfg.resultlog_path);
+  ASSERT_EQ(log.records.size(), specs.size());
+  for (std::size_t i = 0; i < log.records.size(); ++i)
+    ASSERT_EQ(log.records[i].trial, i) << "commit order broken at position " << i;
+}
+
 TEST(CampaignService, ShardMergeMatchesSingleShot) {
   Fixture f(make_cp());
   ServiceConfig ref_cfg;

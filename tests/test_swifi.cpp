@@ -207,6 +207,29 @@ TEST(CodeFault, JumpTargetAtProgramEndIsInvalid) {
   }
 }
 
+TEST(CodeFault, FinalHaltFlippedToJzIsInvalid) {
+  // Regression: a mutant turning the final Halt into a Jz used to pass
+  // validation, and a thread whose Jz falls through then fetched one
+  // instruction past the end of the decoded stream.
+  Fixture f(make_pns());
+  kir::BytecodeProgram mutant = f.v.baseline;
+  ASSERT_EQ(mutant.code.back().op, kir::OpCode::Halt);
+  mutant.code.back().op = kir::OpCode::Jz;
+  EXPECT_FALSE(validate_program(mutant)) << "control can fall off the end";
+}
+
+TEST(CodeFault, FinalHaltFlippedToLoadGIsInvalid) {
+  Fixture f(make_pns());
+  kir::BytecodeProgram mutant = f.v.baseline;
+  ASSERT_EQ(mutant.code.back().op, kir::OpCode::Halt);
+  mutant.code.back().op = kir::OpCode::LoadG;
+  EXPECT_FALSE(validate_program(mutant)) << "control can fall off the end";
+  mutant.code.back().op = kir::OpCode::Jmp;
+  EXPECT_TRUE(validate_program(mutant)) << "a final in-range Jmp cannot fall through";
+  mutant.code.clear();
+  EXPECT_FALSE(validate_program(mutant)) << "an empty program has no Halt";
+}
+
 TEST(CodeFault, CampaignMostlyCrashesOrMasks) {
   Fixture f(make_pns());
   const auto gold = golden_run(f.dev, f.v.baseline, *f.job);
