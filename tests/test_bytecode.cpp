@@ -82,9 +82,11 @@ TEST_P(FloatBinOps, MatchesHostArithmeticBitExactly) {
     EXPECT_EQ(r.bits, Value::f32(expect).bits);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Cases, FloatBinOps,
-    ::testing::Values(
+// gtest names each case after the raw bytes of its parameter, padding
+// included.  Cases built as temporaries carried stack garbage in their
+// padding, so the names changed from run to run; a table with static
+// storage is zero-initialised, padding too, and prints the same every time.
+constexpr FloatBinCase kFloatBinCases[] = {
         FloatBinCase{BinOp::Add, 1.5f, 2.25f, [](float a, float b) { return a + b; }},
         FloatBinCase{BinOp::Add, 1e30f, 1e30f, [](float a, float b) { return a + b; }},
         FloatBinCase{BinOp::Sub, -0.0f, 0.0f, [](float a, float b) { return a - b; }},
@@ -95,7 +97,9 @@ INSTANTIATE_TEST_SUITE_P(
         FloatBinCase{BinOp::Div, 0.0f, 0.0f, [](float a, float b) { return a / b; }},    // NaN
         FloatBinCase{BinOp::Mod, 7.5f, 2.0f, [](float a, float b) { return std::fmod(a, b); }},
         FloatBinCase{BinOp::Min, kInf, 3.0f, [](float a, float b) { return std::fmin(a, b); }},
-        FloatBinCase{BinOp::Max, -kInf, 3.0f, [](float a, float b) { return std::fmax(a, b); }}));
+        FloatBinCase{BinOp::Max, -kInf, 3.0f, [](float a, float b) { return std::fmax(a, b); }}};
+
+INSTANTIATE_TEST_SUITE_P(Cases, FloatBinOps, ::testing::ValuesIn(kFloatBinCases));
 
 // --- integer binary semantics: wraparound, division, shifts ---
 
