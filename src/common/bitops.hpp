@@ -7,6 +7,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
 
 #include "common/rng.hpp"
 
@@ -43,5 +44,46 @@ int magnitude_decade(double x, int lo, int hi) noexcept;
 /// unlike the FNV digests used for in-memory identity, CRC detects the
 /// torn/truncated/bit-flipped file states a killed campaign run can leave.
 std::uint32_t crc32(const void* data, std::size_t bytes, std::uint32_t seed = 0) noexcept;
+
+/// 64-bit FNV-1a, fed byte by byte: the in-memory identity digests
+/// (programs, plans, campaigns, translator remarks, interval environments,
+/// guardian outputs).  The basis, the bytes fed and their order are part of
+/// each digest's definition.
+class Fnv1a {
+ public:
+  /// The standard FNV-1a offset basis.
+  static constexpr std::uint64_t kOffsetBasis = 0xcbf29ce484222325ull;
+  /// The standard basis's decimal form with its last digit dropped.  Every
+  /// digest except the translator's remark digest starts from it; they are
+  /// persisted (golden files, checkpoints, campaign headers), so it stays.
+  static constexpr std::uint64_t kLegacyBasis = 1469598103934665603ull;
+
+  explicit Fnv1a(std::uint64_t basis = kOffsetBasis) noexcept : h_(basis) {}
+
+  Fnv1a& bytes(const void* data, std::size_t n) noexcept {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) mix(p[i]);
+    return *this;
+  }
+  /// The object representation of a trivially copyable value.
+  template <typename T>
+  Fnv1a& pod(const T& v) noexcept {
+    return bytes(&v, sizeof v);
+  }
+  /// `v` as 8 bytes, least significant first.
+  Fnv1a& u64(std::uint64_t v) noexcept {
+    for (int i = 0; i < 8; ++i) mix(static_cast<unsigned char>(v >> (8 * i)));
+    return *this;
+  }
+  /// The length as u64, then the characters.
+  Fnv1a& str(std::string_view s) noexcept { return u64(s.size()).bytes(s.data(), s.size()); }
+
+  [[nodiscard]] std::uint64_t value() const noexcept { return h_; }
+
+ private:
+  void mix(unsigned char c) noexcept { h_ = (h_ ^ c) * 0x100000001b3ull; }
+
+  std::uint64_t h_;
+};
 
 }  // namespace hauberk::common

@@ -85,8 +85,8 @@ constexpr std::int32_t as_i(std::uint32_t b) noexcept { return static_cast<std::
 constexpr std::uint32_t i_bits(std::int32_t v) noexcept { return static_cast<std::uint32_t>(v); }
 
 /// CUDA-like saturating f32 -> i32 conversion; NaN -> 0.  Shared by the
-/// reference evaluator and the fast engine's F2I handler so the two can
-/// never drift.
+/// reference evaluator and the opcode table's F2I so the two can never
+/// drift.
 inline std::uint32_t f2i_sat(std::uint32_t a) noexcept {
   const float x = as_f(a);
   if (std::isnan(x)) return 0;
@@ -257,6 +257,241 @@ std::uint32_t eval_un(UnOp op, DType t, std::uint32_t a) noexcept {
       return eval_un(op, DType::F32, f_bits(static_cast<float>(x)));
   }
 }
+
+// ---------------------------------------------------------------------------
+// Production opcode semantics
+// ---------------------------------------------------------------------------
+//
+// One table defines what every kir::DecodedOp does in the production
+// engines.  The fast switch, the threaded engine's accounted singles and its
+// naked (run-interior) singles are expansions of it, and the fused
+// superinstructions take their compare/ALU evaluators from it, so those
+// engines cannot drift apart.  The reference interpreter (run_thread over
+// eval_un/eval_bin) deliberately stays outside: it re-derives every op from
+// the raw bytecode as an independent oracle, and the differential fuzzer
+// compares the two.
+//
+// Entries are X(op, kind, semantics), split like the kir master list into
+// the ops that may run inside a straight-line run and control transfer
+// (plus Invalid), which never does.  Kinds:
+//
+//   UN   pure result expression over the operand word `a`
+//   BIN  pure result expression over the operand words `a` and `b`
+//   DIV  BIN that crashes with CrashDivByZero when `b` is zero
+//   DO   statement body
+//
+// UN/BIN/DIV expressions become the inline evaluators op_<op>(a[, b]).  DO
+// bodies see the instruction as the pointer `in` (a kir::DecodedInstr or a
+// kir::ThreadedInstr), the register file `regs`, the block state, and the
+// engine's hooks:
+//
+//   OP_SET(v)            write result v to regs[in->dst] (the fast engine
+//                        applies the hardware fault model to it first)
+//   OP_CRASH(status)     stop the thread with a crash status
+//   OP_PC                the thread's next pc, for control transfer
+//   OP_SHADOW(ev, addr)  sanitizer shadow event on a shared-memory address
+//   OP_REG_FAULT(r)      register-file fault model on register r (Mov)
+//
+// A DO body runs in its own block scope, so its locals (the atomics'
+// lock_guard in particular) are gone before the engine dispatches on.
+
+/// Global load with the FlatGpu fast path: the hoisted arena span is valid
+/// exactly for addr < gsize (see DeviceMemory::flat_arena); PagedCpu and
+/// protected memory take the out-of-line load().
+#define OP_GLOAD(DST, ADDR)                                                 \
+  {                                                                         \
+    const std::uint32_t ga_ = (ADDR);                                       \
+    if (gmem) {                                                             \
+      if (ga_ >= gsize) OP_CRASH(LaunchStatus::CrashOutOfBounds);           \
+      (DST) = gmem[ga_];                                                    \
+    } else if (!mem.load(ga_, (DST))) {                                     \
+      OP_CRASH(mem_fail_status());                                          \
+    }                                                                       \
+  }
+/// Atomic read-modify-write add; ADD is the op_ evaluator of the type.
+#define OP_ATOMIC_ADD(ADD)                                                  \
+  std::lock_guard<std::mutex> lk(dev_.atomic_mutex());                      \
+  const std::uint32_t addr = regs[in->a];                                   \
+  if (gmem) {                                                               \
+    if (addr >= gsize) OP_CRASH(LaunchStatus::CrashOutOfBounds);            \
+    mem.note_store(addr);                                                   \
+    gmem[addr] = ADD(gmem[addr], regs[in->b]);                              \
+  } else if (!mem.rmw(addr, [&](std::uint32_t w) { return ADD(w, regs[in->b]); })) { \
+    OP_CRASH(mem_fail_status());                                            \
+  }
+
+// clang-format off
+#define HB_OPS_STRAIGHT(X)                                                              \
+  X(Nop, DO, {})                                                                        \
+  X(Const, DO, regs[in->dst] = in->imm;)                                                \
+  X(Mov, DO, regs[in->dst] = regs[in->a]; OP_REG_FAULT(regs[in->dst]);)                 \
+  X(Builtin, DO, regs[in->dst] = builtin_value(t, static_cast<BuiltinVal>(in->aux));)   \
+  X(Select, DO,                                                                         \
+    regs[in->dst] = regs[in->a] != 0 ? regs[in->b] : regs[static_cast<std::uint16_t>(in->imm)];) \
+                                                                                        \
+  X(NegF, UN, f_bits(-as_f(a)))                                                         \
+  X(NegI, UN, i_bits(-as_i(a)))                                                         \
+  X(NotF, UN, as_f(a) == 0.0f)                                                          \
+  X(NotW, UN, a == 0)                                                                   \
+  X(BitNot, UN, ~a)                                                                     \
+  X(AbsF, UN, f_bits(std::fabs(as_f(a))))                                               \
+  X(AbsI, UN, i_bits(as_i(a) < 0 ? -as_i(a) : as_i(a)))                                 \
+  X(SqrtF, UN, f_bits(std::sqrt(as_f(a))))                                              \
+  X(RsqrtF, UN, f_bits(1.0f / std::sqrt(as_f(a))))                                      \
+  X(ExpF, UN, f_bits(std::exp(as_f(a))))                                                \
+  X(LogF, UN, f_bits(std::log(as_f(a))))                                                \
+  X(SinF, UN, f_bits(std::sin(as_f(a))))                                                \
+  X(CosF, UN, f_bits(std::cos(as_f(a))))                                                \
+  X(FloorF, UN, f_bits(std::floor(as_f(a))))                                            \
+  X(I2F, UN, f_bits(static_cast<float>(as_i(a))))                                       \
+  X(P2F, UN, f_bits(static_cast<float>(a)))                                             \
+  X(F2I, UN, f2i_sat(a))                                                                \
+  X(CopyA, UN, a)                                                                       \
+  X(UnGeneric, DO,                                                                      \
+    OP_SET(eval_un(static_cast<UnOp>(aux_op(in->aux)), aux_type(in->aux), regs[in->a]));) \
+                                                                                        \
+  X(AddF, BIN, fadd_bits(a, b))                                                         \
+  X(SubF, BIN, fsub_bits(a, b))                                                         \
+  X(MulF, BIN, fmul_bits(a, b))                                                         \
+  X(DivF, BIN, fdiv_bits(a, b))                                                         \
+  X(MinF, BIN, fmin_bits(a, b))                                                         \
+  X(MaxF, BIN, fmax_bits(a, b))                                                         \
+  X(LtF, BIN, as_f(a) < as_f(b))                                                        \
+  X(LeF, BIN, as_f(a) <= as_f(b))                                                       \
+  X(GtF, BIN, as_f(a) > as_f(b))                                                        \
+  X(GeF, BIN, as_f(a) >= as_f(b))                                                       \
+  X(EqF, BIN, as_f(a) == as_f(b))                                                       \
+  X(NeF, BIN, as_f(a) != as_f(b))                                                       \
+  X(AddW, BIN, a + b)                                                                   \
+  X(SubW, BIN, a - b)                                                                   \
+  X(MulW, BIN, a * b)                                                                   \
+  X(DivI, DIV, i_bits(static_cast<std::int32_t>(std::int64_t{as_i(a)} / as_i(b))))      \
+  X(ModI, DIV, i_bits(static_cast<std::int32_t>(std::int64_t{as_i(a)} % as_i(b))))      \
+  X(DivU, DIV, a / b)                                                                   \
+  X(ModU, DIV, a % b)                                                                   \
+  X(MinI, BIN, as_i(a) < as_i(b) ? a : b)                                               \
+  X(MaxI, BIN, as_i(a) > as_i(b) ? a : b)                                               \
+  X(MinU, BIN, a < b ? a : b)                                                           \
+  X(MaxU, BIN, a > b ? a : b)                                                           \
+  X(LtI, BIN, as_i(a) < as_i(b))                                                        \
+  X(LeI, BIN, as_i(a) <= as_i(b))                                                       \
+  X(GtI, BIN, as_i(a) > as_i(b))                                                        \
+  X(GeI, BIN, as_i(a) >= as_i(b))                                                       \
+  X(LtU, BIN, a < b)                                                                    \
+  X(LeU, BIN, a <= b)                                                                   \
+  X(GtU, BIN, a > b)                                                                    \
+  X(GeU, BIN, a >= b)                                                                   \
+  X(EqW, BIN, a == b)                                                                   \
+  X(NeW, BIN, a != b)                                                                   \
+  X(AndB, BIN, a & b)                                                                   \
+  X(OrB, BIN, a | b)                                                                    \
+  X(XorB, BIN, a ^ b)                                                                   \
+  X(ShlB, BIN, a << (b & 31))                                                           \
+  X(ShrL, BIN, a >> (b & 31))                                                           \
+  X(ShrA, BIN, i_bits(as_i(a) >> (b & 31)))                                             \
+  X(LAndW, BIN, (a != 0) && (b != 0))                                                   \
+  X(LOrW, BIN, (a != 0) || (b != 0))                                                    \
+  X(BinGeneric, DO,                                                                     \
+    bool crash = false;                                                                 \
+    const std::uint32_t r = eval_bin(static_cast<BinOp>(aux_op(in->aux)),               \
+                                     aux_type(in->aux), regs[in->a], regs[in->b], crash); \
+    if (crash) OP_CRASH(LaunchStatus::CrashDivByZero);                                  \
+    OP_SET(r);)                                                                         \
+                                                                                        \
+  X(LoadG, DO, OP_GLOAD(regs[in->dst], regs[in->a]))                                    \
+  X(StoreG, DO,                                                                         \
+    const std::uint32_t addr = regs[in->a];                                             \
+    if (gmem) {                                                                         \
+      if (addr >= gsize) OP_CRASH(LaunchStatus::CrashOutOfBounds);                      \
+      gmem[addr] = regs[in->b];                                                         \
+      mem.note_store(addr);                                                             \
+    } else if (!mem.store(addr, regs[in->b])) {                                         \
+      OP_CRASH(mem_fail_status());                                                      \
+    })                                                                                  \
+  X(LoadS, DO,                                                                          \
+    const std::uint32_t addr = regs[in->a];                                             \
+    if (addr >= ssize) {                                                                \
+      OP_SHADOW(on_oob, addr);                                                          \
+      OP_CRASH(LaunchStatus::CrashSharedOutOfBounds);                                   \
+    }                                                                                   \
+    OP_SHADOW(on_load, addr);                                                           \
+    regs[in->dst] = shared_[addr];)                                                     \
+  X(StoreS, DO,                                                                         \
+    const std::uint32_t addr = regs[in->a];                                             \
+    if (addr >= ssize) {                                                                \
+      OP_SHADOW(on_oob, addr);                                                          \
+      OP_CRASH(LaunchStatus::CrashSharedOutOfBounds);                                   \
+    }                                                                                   \
+    OP_SHADOW(on_store, addr);                                                          \
+    shared_[addr] = regs[in->b];)                                                       \
+  X(AtomicAddF, DO, OP_ATOMIC_ADD(op_AddF))                                             \
+  X(AtomicAddI, DO, OP_ATOMIC_ADD(op_AddW))                                             \
+                                                                                        \
+  X(ChkXor, DO, regs[in->dst] ^= regs[in->a];)                                          \
+  X(ChkValidate, DO, if (regs[in->dst] != 0) sdc = true;)                               \
+  X(DupCmp, DO, if (regs[in->a] != regs[in->b]) sdc = true;)                            \
+  X(RangeCheck, DO,                                                                     \
+    if (opts_.hooks &&                                                                  \
+        opts_.hooks->check_range(static_cast<int>(in->aux),                             \
+                                 kir::Value{static_cast<DType>(in->t), regs[in->a]}))   \
+      sdc = true;)                                                                      \
+  X(EqualCheck, DO,                                                                     \
+    if (regs[in->a] != regs[in->b]) {                                                   \
+      sdc = true;                                                                       \
+      if (opts_.hooks) opts_.hooks->equal_check_failed(static_cast<int>(in->aux));      \
+    })                                                                                  \
+  X(ProfileVal, DO,                                                                     \
+    if (opts_.hooks)                                                                    \
+      opts_.hooks->profile_value(static_cast<int>(in->aux),                             \
+                                 kir::Value{static_cast<DType>(in->t), regs[in->a]});)  \
+  X(CountExec, DO, if (opts_.hooks) opts_.hooks->count_exec(in->aux, t.linear);)        \
+  X(FIHook, DO, if (opts_.hooks) opts_.hooks->fi_hook(in->aux, t.linear, regs[in->a]);)
+
+#define HB_OPS_CONTROL(X)                                                               \
+  X(Jmp, DO, OP_PC = in->aux;)                                                          \
+  X(Jz, DO, if (regs[in->a] == 0) OP_PC = in->aux;)                                     \
+  X(Barrier, DO, t.barrier_pc = OP_PC - 1; finish(); return ThreadStop::Barrier;)       \
+  X(Halt, DO, finish(); t.done = true; return ThreadStop::Done;)                        \
+  X(Invalid, DO, OP_CRASH(LaunchStatus::CrashInvalidInstr);)
+// clang-format on
+
+/// An op's semantics as a statement, for the expansions.
+#define OP_BODY(n, kind, ...) OP_BODY_##kind(n, __VA_ARGS__)
+#define OP_BODY_UN(n, ...) OP_SET(op_##n(regs[in->a]));
+#define OP_BODY_BIN(n, ...) OP_SET(op_##n(regs[in->a], regs[in->b]));
+#define OP_BODY_DIV(n, ...)                                        \
+  if (regs[in->b] == 0) OP_CRASH(LaunchStatus::CrashDivByZero);   \
+  OP_SET(op_##n(regs[in->a], regs[in->b]));
+#define OP_BODY_DO(n, ...) __VA_ARGS__
+
+#define OP_FN(n, kind, ...) OP_FN_##kind(n, __VA_ARGS__)
+#define OP_FN_UN(n, ...)                                                          \
+  [[gnu::always_inline]] inline std::uint32_t op_##n(std::uint32_t a) noexcept {  \
+    return __VA_ARGS__;                                                           \
+  }
+#define OP_FN_BIN(n, ...)                                                         \
+  [[gnu::always_inline]] inline std::uint32_t op_##n(std::uint32_t a,            \
+                                                      std::uint32_t b) noexcept { \
+    return __VA_ARGS__;                                                           \
+  }
+#define OP_FN_DIV OP_FN_BIN
+#define OP_FN_DO(n, ...)
+HB_OPS_STRAIGHT(OP_FN)
+#undef OP_FN
+#undef OP_FN_UN
+#undef OP_FN_BIN
+#undef OP_FN_DIV
+#undef OP_FN_DO
+
+// The table mirrors the kir master list entry for entry.
+#define OP_ENTRY(n, ...) kir::DecodedOp::n,
+constexpr kir::DecodedOp kTableStraight[] = {HB_OPS_STRAIGHT(OP_ENTRY)};
+constexpr kir::DecodedOp kTableControl[] = {HB_OPS_CONTROL(OP_ENTRY)};
+constexpr kir::DecodedOp kListStraight[] = {HAUBERK_DOP_STRAIGHT(OP_ENTRY)};
+constexpr kir::DecodedOp kListControl[] = {HAUBERK_DOP_CONTROL(OP_ENTRY) kir::DecodedOp::Invalid};
+#undef OP_ENTRY
+static_assert(std::ranges::equal(kTableStraight, kListStraight) &&
+              std::ranges::equal(kTableControl, kListControl));
 
 enum class ThreadStop : std::uint8_t { Done, Barrier, Crash, Budget };
 
@@ -545,11 +780,12 @@ ThreadStop BlockExec::run_thread(ThreadCtx& t, LaunchStatus& crash_status) {
   }
 }
 
-/// The predecoded fast path.  Same observable semantics as run_thread,
-/// instruction for instruction: identical watchdog test, identical cost
-/// accounting order (cost charged, then loop attribution, then pc++), and
-/// identical crash/barrier/halt stop points.  Speed comes from three
-/// sources, none of which may change behavior:
+/// The predecoded fast path: the opcode semantics table expanded into one
+/// dense switch.  Same observable semantics as run_thread, instruction for
+/// instruction: identical watchdog test, identical cost accounting order
+/// (cost charged, then loop attribution, then pc++), and identical
+/// crash/barrier/halt stop points.  Speed comes from three sources, none of
+/// which may change behavior:
 ///
 ///  1. the kir::DecodedInstr stream has the (op, type) dispatch pre-resolved
 ///     and the per-pc cost/loop-cost pre-folded, so the hot loop is one
@@ -557,21 +793,23 @@ ThreadStop BlockExec::run_thread(ThreadCtx& t, LaunchStatus& crash_status) {
 ///  2. the profiling / SIMT-counting / hardware-fault checks are template
 ///     parameters, so the common uninstrumented launch compiles to a loop
 ///     with none of those branches;
-///  3. FlatGpu global accesses use the hoisted arena span (valid() ==
-///     addr < span.size(), addr == index — see DeviceMemory::flat_arena)
+///  3. FlatGpu global accesses use the hoisted arena span (OP_GLOAD)
 ///     instead of the out-of-line load()/store() calls.
 ///
 /// Any (op, type) case whose bit-level behavior is not provably shared with
 /// the reference falls back to the same eval_un/eval_bin the reference
 /// calls (UnGeneric/BinGeneric), so the engines cannot drift there either.
 ///
-/// kSanitize layers the shared-memory shadow (gpusim/sanitizer.hpp) on the
-/// LoadS/StoreS cases.  The shadow only *observes* — register writes, crash
-/// points and cost accounting are untouched — which is what makes the
-/// sanitizer engine bitwise identical to the others on every observable.
+/// kHwFault applies the device fault model to every UN/BIN/DIV and generic
+/// result, typed by the *original* operand DType carried in
+/// DecodedInstr::t so the ALU-vs-FPU component filter matches the
+/// reference, and to Mov under the register-file component.  kSanitize
+/// layers the shared-memory shadow (gpusim/sanitizer.hpp) on LoadS/StoreS.
+/// The shadow only *observes* — register writes, crash points and cost
+/// accounting are untouched — which is what makes the sanitizer engine
+/// bitwise identical to the others on every observable.
 template <bool kCounts, bool kSimt, bool kHwFault, bool kSanitize>
 ThreadStop BlockExec::run_thread_fast(ThreadCtx& t, LaunchStatus& crash_status) {
-  using kir::DecodedOp;
   const kir::DecodedInstr* const code = dec_;
   std::uint32_t* const regs = t.regs;
   DeviceMemory& mem = dev_.mem();
@@ -590,279 +828,58 @@ ThreadStop BlockExec::run_thread_fast(ThreadCtx& t, LaunchStatus& crash_status) 
     t.budget_used += local_instr;
   };
 
-// Handler macros keep the ~70 type-resolved cases at one line apiece.
-// FAST_SET mirrors the reference Un/Bin tail exactly: optional hardware
-// fault on the result bits (typed by the *original* operand DType carried
-// in DecodedInstr::t, so the ALU-vs-FPU component filter matches), then the
-// register write.
-#define FAST_SET(expr)                                                      \
-  {                                                                         \
-    std::uint32_t r_ = (expr);                                              \
-    if constexpr (kHwFault) maybe_hw_fault(r_, static_cast<DType>(in.t));   \
-    regs[in.dst] = r_;                                                      \
-  }                                                                         \
-  break
-#define FAST_CRASH(st)          \
-  {                             \
-    crash_status = (st);        \
-    finish();                   \
-    return ThreadStop::Crash;   \
+#define OP_SET(expr)                                                       \
+  {                                                                        \
+    std::uint32_t r_ = (expr);                                             \
+    if constexpr (kHwFault) maybe_hw_fault(r_, static_cast<DType>(in->t)); \
+    regs[in->dst] = r_;                                                    \
   }
+#define OP_CRASH(st)          \
+  {                           \
+    crash_status = (st);      \
+    finish();                 \
+    return ThreadStop::Crash; \
+  }
+#define OP_PC (t.pc)
+#define OP_SHADOW(ev, addr) \
+  if constexpr (kSanitize) shadow_->ev(t.pc - 1, sites_[t.pc - 1], t.block_index, addr, epoch_)
+#define OP_REG_FAULT(r)                                                        \
+  if constexpr (kHwFault) {                                                    \
+    if (dev_.fault_.component == DeviceFaultModel::Component::RegisterFile)    \
+      maybe_hw_fault(r, DType::I32);                                           \
+  }
+#define FAST_CASE(n, ...)         \
+  case kir::DecodedOp::n: {       \
+    OP_BODY(n, __VA_ARGS__)       \
+  } break;
 
   for (;;) {
     if (local_instr + t.budget_used > watchdog) {
       finish();
       return ThreadStop::Budget;
     }
-    const kir::DecodedInstr& in = code[t.pc];
-    local_cycles += in.cost;
-    local_loop += in.loop_cost;
+    const kir::DecodedInstr* const in = &code[t.pc];
+    local_cycles += in->cost;
+    local_loop += in->loop_cost;
     ++local_instr;
     if constexpr (kCounts) ++exec_counts[t.pc];
     if constexpr (kSimt)
       ++thread_counts[static_cast<std::size_t>(t.block_index) * n_instr + t.pc];
     ++t.pc;
 
-    switch (in.op) {
-      case DecodedOp::Nop:
-        break;
-      case DecodedOp::Const:
-        regs[in.dst] = in.imm;
-        break;
-      case DecodedOp::Mov:
-        regs[in.dst] = regs[in.a];
-        if constexpr (kHwFault) {
-          if (dev_.fault_.component == DeviceFaultModel::Component::RegisterFile)
-            maybe_hw_fault(regs[in.dst], DType::I32);
-        }
-        break;
-      case DecodedOp::Builtin:
-        regs[in.dst] = builtin_value(t, static_cast<BuiltinVal>(in.aux));
-        break;
-      case DecodedOp::Select:
-        regs[in.dst] = regs[in.a] != 0 ? regs[in.b] : regs[static_cast<std::uint16_t>(in.imm)];
-        break;
-
-      // --- unary, type-resolved ---
-      case DecodedOp::NegF: FAST_SET(f_bits(-as_f(regs[in.a])));
-      case DecodedOp::NegI: FAST_SET(i_bits(-as_i(regs[in.a])));
-      case DecodedOp::NotF: FAST_SET(as_f(regs[in.a]) == 0.0f);
-      case DecodedOp::NotW: FAST_SET(regs[in.a] == 0);
-      case DecodedOp::BitNot: FAST_SET(~regs[in.a]);
-      case DecodedOp::AbsF: FAST_SET(f_bits(std::fabs(as_f(regs[in.a]))));
-      case DecodedOp::AbsI: {
-        const std::int32_t x = as_i(regs[in.a]);
-        FAST_SET(i_bits(x < 0 ? -x : x));
-      }
-      case DecodedOp::SqrtF: FAST_SET(f_bits(std::sqrt(as_f(regs[in.a]))));
-      case DecodedOp::RsqrtF: FAST_SET(f_bits(1.0f / std::sqrt(as_f(regs[in.a]))));
-      case DecodedOp::ExpF: FAST_SET(f_bits(std::exp(as_f(regs[in.a]))));
-      case DecodedOp::LogF: FAST_SET(f_bits(std::log(as_f(regs[in.a]))));
-      case DecodedOp::SinF: FAST_SET(f_bits(std::sin(as_f(regs[in.a]))));
-      case DecodedOp::CosF: FAST_SET(f_bits(std::cos(as_f(regs[in.a]))));
-      case DecodedOp::FloorF: FAST_SET(f_bits(std::floor(as_f(regs[in.a]))));
-      case DecodedOp::I2F: FAST_SET(f_bits(static_cast<float>(as_i(regs[in.a]))));
-      case DecodedOp::P2F: FAST_SET(f_bits(static_cast<float>(regs[in.a])));
-      case DecodedOp::F2I: FAST_SET(f2i_sat(regs[in.a]));
-      case DecodedOp::CopyA: FAST_SET(regs[in.a]);
-      case DecodedOp::UnGeneric:
-        FAST_SET(eval_un(static_cast<UnOp>(aux_op(in.aux)), aux_type(in.aux), regs[in.a]));
-
-      // --- binary, type-resolved ---
-      case DecodedOp::AddF: FAST_SET(fadd_bits(regs[in.a], regs[in.b]));
-      case DecodedOp::SubF: FAST_SET(fsub_bits(regs[in.a], regs[in.b]));
-      case DecodedOp::MulF: FAST_SET(fmul_bits(regs[in.a], regs[in.b]));
-      case DecodedOp::DivF: FAST_SET(fdiv_bits(regs[in.a], regs[in.b]));
-      case DecodedOp::MinF: FAST_SET(fmin_bits(regs[in.a], regs[in.b]));
-      case DecodedOp::MaxF: FAST_SET(fmax_bits(regs[in.a], regs[in.b]));
-      case DecodedOp::LtF: FAST_SET(as_f(regs[in.a]) < as_f(regs[in.b]));
-      case DecodedOp::LeF: FAST_SET(as_f(regs[in.a]) <= as_f(regs[in.b]));
-      case DecodedOp::GtF: FAST_SET(as_f(regs[in.a]) > as_f(regs[in.b]));
-      case DecodedOp::GeF: FAST_SET(as_f(regs[in.a]) >= as_f(regs[in.b]));
-      case DecodedOp::EqF: FAST_SET(as_f(regs[in.a]) == as_f(regs[in.b]));
-      case DecodedOp::NeF: FAST_SET(as_f(regs[in.a]) != as_f(regs[in.b]));
-      case DecodedOp::AddW: FAST_SET(regs[in.a] + regs[in.b]);
-      case DecodedOp::SubW: FAST_SET(regs[in.a] - regs[in.b]);
-      case DecodedOp::MulW: FAST_SET(regs[in.a] * regs[in.b]);
-      case DecodedOp::DivI: {
-        const std::int64_t x = as_i(regs[in.a]), y = as_i(regs[in.b]);
-        if (y == 0) FAST_CRASH(LaunchStatus::CrashDivByZero);
-        FAST_SET(i_bits(static_cast<std::int32_t>(x / y)));
-      }
-      case DecodedOp::ModI: {
-        const std::int64_t x = as_i(regs[in.a]), y = as_i(regs[in.b]);
-        if (y == 0) FAST_CRASH(LaunchStatus::CrashDivByZero);
-        FAST_SET(i_bits(static_cast<std::int32_t>(x % y)));
-      }
-      case DecodedOp::DivU:
-        if (regs[in.b] == 0) FAST_CRASH(LaunchStatus::CrashDivByZero);
-        FAST_SET(regs[in.a] / regs[in.b]);
-      case DecodedOp::ModU:
-        if (regs[in.b] == 0) FAST_CRASH(LaunchStatus::CrashDivByZero);
-        FAST_SET(regs[in.a] % regs[in.b]);
-      case DecodedOp::MinI: FAST_SET(as_i(regs[in.a]) < as_i(regs[in.b]) ? regs[in.a] : regs[in.b]);
-      case DecodedOp::MaxI: FAST_SET(as_i(regs[in.a]) > as_i(regs[in.b]) ? regs[in.a] : regs[in.b]);
-      case DecodedOp::MinU: FAST_SET(regs[in.a] < regs[in.b] ? regs[in.a] : regs[in.b]);
-      case DecodedOp::MaxU: FAST_SET(regs[in.a] > regs[in.b] ? regs[in.a] : regs[in.b]);
-      case DecodedOp::LtI: FAST_SET(as_i(regs[in.a]) < as_i(regs[in.b]));
-      case DecodedOp::LeI: FAST_SET(as_i(regs[in.a]) <= as_i(regs[in.b]));
-      case DecodedOp::GtI: FAST_SET(as_i(regs[in.a]) > as_i(regs[in.b]));
-      case DecodedOp::GeI: FAST_SET(as_i(regs[in.a]) >= as_i(regs[in.b]));
-      case DecodedOp::LtU: FAST_SET(regs[in.a] < regs[in.b]);
-      case DecodedOp::LeU: FAST_SET(regs[in.a] <= regs[in.b]);
-      case DecodedOp::GtU: FAST_SET(regs[in.a] > regs[in.b]);
-      case DecodedOp::GeU: FAST_SET(regs[in.a] >= regs[in.b]);
-      case DecodedOp::EqW: FAST_SET(regs[in.a] == regs[in.b]);
-      case DecodedOp::NeW: FAST_SET(regs[in.a] != regs[in.b]);
-      case DecodedOp::AndB: FAST_SET(regs[in.a] & regs[in.b]);
-      case DecodedOp::OrB: FAST_SET(regs[in.a] | regs[in.b]);
-      case DecodedOp::XorB: FAST_SET(regs[in.a] ^ regs[in.b]);
-      case DecodedOp::ShlB: FAST_SET(regs[in.a] << (regs[in.b] & 31));
-      case DecodedOp::ShrL: FAST_SET(regs[in.a] >> (regs[in.b] & 31));
-      case DecodedOp::ShrA: FAST_SET(i_bits(as_i(regs[in.a]) >> (regs[in.b] & 31)));
-      case DecodedOp::LAndW: FAST_SET((regs[in.a] != 0) && (regs[in.b] != 0));
-      case DecodedOp::LOrW: FAST_SET((regs[in.a] != 0) || (regs[in.b] != 0));
-      case DecodedOp::BinGeneric: {
-        bool crash = false;
-        const std::uint32_t r = eval_bin(static_cast<BinOp>(aux_op(in.aux)), aux_type(in.aux),
-                                         regs[in.a], regs[in.b], crash);
-        if (crash) FAST_CRASH(LaunchStatus::CrashDivByZero);
-        FAST_SET(r);
-      }
-
-      // --- memory ---
-      case DecodedOp::LoadG: {
-        const std::uint32_t addr = regs[in.a];
-        if (gmem) {
-          if (addr >= gsize) FAST_CRASH(LaunchStatus::CrashOutOfBounds);
-          regs[in.dst] = gmem[addr];
-        } else if (!mem.load(addr, regs[in.dst])) {
-          FAST_CRASH(mem_fail_status());
-        }
-        break;
-      }
-      case DecodedOp::StoreG: {
-        const std::uint32_t addr = regs[in.a];
-        if (gmem) {
-          if (addr >= gsize) FAST_CRASH(LaunchStatus::CrashOutOfBounds);
-          gmem[addr] = regs[in.b];
-          mem.note_store(addr);
-        } else if (!mem.store(addr, regs[in.b])) {
-          FAST_CRASH(mem_fail_status());
-        }
-        break;
-      }
-      case DecodedOp::LoadS: {
-        const std::uint32_t addr = regs[in.a];
-        if (addr >= ssize) {
-          if constexpr (kSanitize)
-            shadow_->on_oob(t.pc - 1, sites_[t.pc - 1], t.block_index, addr, epoch_);
-          FAST_CRASH(LaunchStatus::CrashSharedOutOfBounds);
-        }
-        if constexpr (kSanitize)
-          shadow_->on_load(t.pc - 1, sites_[t.pc - 1], t.block_index, addr, epoch_);
-        regs[in.dst] = shared_[addr];
-        break;
-      }
-      case DecodedOp::StoreS: {
-        const std::uint32_t addr = regs[in.a];
-        if (addr >= ssize) {
-          if constexpr (kSanitize)
-            shadow_->on_oob(t.pc - 1, sites_[t.pc - 1], t.block_index, addr, epoch_);
-          FAST_CRASH(LaunchStatus::CrashSharedOutOfBounds);
-        }
-        if constexpr (kSanitize)
-          shadow_->on_store(t.pc - 1, sites_[t.pc - 1], t.block_index, addr, epoch_);
-        shared_[addr] = regs[in.b];
-        break;
-      }
-      case DecodedOp::AtomicAddF: {
-        std::lock_guard<std::mutex> lk(dev_.atomic_mutex());
-        if (gmem) {
-          if (regs[in.a] >= gsize) FAST_CRASH(LaunchStatus::CrashOutOfBounds);
-          mem.note_store(regs[in.a]);
-          std::uint32_t* const w = gmem + regs[in.a];
-          *w = fadd_bits(*w, regs[in.b]);
-        } else if (!mem.rmw(regs[in.a],
-                            [&](std::uint32_t w) { return fadd_bits(w, regs[in.b]); })) {
-          FAST_CRASH(mem_fail_status());
-        }
-        break;
-      }
-      case DecodedOp::AtomicAddI: {
-        std::lock_guard<std::mutex> lk(dev_.atomic_mutex());
-        if (gmem) {
-          if (regs[in.a] >= gsize) FAST_CRASH(LaunchStatus::CrashOutOfBounds);
-          mem.note_store(regs[in.a]);
-          std::uint32_t* const w = gmem + regs[in.a];
-          *w = i_bits(static_cast<std::int32_t>(
-              static_cast<std::int64_t>(as_i(*w)) + as_i(regs[in.b])));
-        } else if (!mem.rmw(regs[in.a], [&](std::uint32_t w) {
-                     return i_bits(static_cast<std::int32_t>(
-                         static_cast<std::int64_t>(as_i(w)) + as_i(regs[in.b])));
-                   })) {
-          FAST_CRASH(mem_fail_status());
-        }
-        break;
-      }
-
-      // --- control flow ---
-      case DecodedOp::Jmp:
-        t.pc = in.aux;
-        break;
-      case DecodedOp::Jz:
-        if (regs[in.a] == 0) t.pc = in.aux;
-        break;
-      case DecodedOp::Barrier:
-        t.barrier_pc = t.pc - 1;
-        finish();
-        return ThreadStop::Barrier;
-      case DecodedOp::Halt:
-        finish();
-        t.done = true;
-        return ThreadStop::Done;
-
-      // --- Hauberk detectors / instrumentation hooks ---
-      case DecodedOp::ChkXor:
-        regs[in.dst] ^= regs[in.a];
-        break;
-      case DecodedOp::ChkValidate:
-        if (regs[in.dst] != 0) sdc = true;
-        break;
-      case DecodedOp::DupCmp:
-        if (regs[in.a] != regs[in.b]) sdc = true;
-        break;
-      case DecodedOp::RangeCheck:
-        if (opts_.hooks &&
-            opts_.hooks->check_range(static_cast<int>(in.aux),
-                                     kir::Value{static_cast<DType>(in.t), regs[in.a]}))
-          sdc = true;
-        break;
-      case DecodedOp::EqualCheck:
-        if (regs[in.a] != regs[in.b]) {
-          sdc = true;
-          if (opts_.hooks) opts_.hooks->equal_check_failed(static_cast<int>(in.aux));
-        }
-        break;
-      case DecodedOp::ProfileVal:
-        if (opts_.hooks)
-          opts_.hooks->profile_value(static_cast<int>(in.aux),
-                                     kir::Value{static_cast<DType>(in.t), regs[in.a]});
-        break;
-      case DecodedOp::CountExec:
-        if (opts_.hooks) opts_.hooks->count_exec(in.aux, t.linear);
-        break;
-      case DecodedOp::FIHook:
-        if (opts_.hooks) opts_.hooks->fi_hook(in.aux, t.linear, regs[in.a]);
-        break;
-
-      case DecodedOp::Invalid:
+    switch (in->op) {
+      HB_OPS_STRAIGHT(FAST_CASE)
+      HB_OPS_CONTROL(FAST_CASE)
       default:
-        FAST_CRASH(LaunchStatus::CrashInvalidInstr);
+        OP_CRASH(LaunchStatus::CrashInvalidInstr)
     }
   }
-#undef FAST_SET
-#undef FAST_CRASH
+#undef OP_SET
+#undef OP_CRASH
+#undef OP_PC
+#undef OP_SHADOW
+#undef OP_REG_FAULT
+#undef FAST_CASE
 }
 
 /// The threaded-code engine.  Dispatches the kir::ThreadedProgram stream
@@ -874,11 +891,14 @@ ThreadStop BlockExec::run_thread_fast(ThreadCtx& t, LaunchStatus& crash_status) 
 /// Semantics are pinned to run_thread_fast (and through it to run_thread)
 /// by two rules:
 ///
-///  * single ops replicate the fast handler bodies exactly, with the
-///    watchdog test rewritten as a countdown (`left`) that is equivalent
-///    step for step to the fast engine's `local_instr + budget_used >
-///    watchdog` test;
-///  * fused superinstructions perform *all* their checks — enough budget
+///  * single ops are the fast engine's opcode semantics table expanded
+///    again, behind a prologue that rewrites the watchdog test as a
+///    countdown (`left`), equivalent step for step to the fast engine's
+///    `local_instr + budget_used > watchdog` test; naked singles (run
+///    interiors) expand the same table with no accounting at all, refunding
+///    the run's unexecuted suffix when they crash;
+///  * fused superinstructions evaluate their compare/ALU operators with the
+///    table's op_ evaluators and perform *all* their checks — enough budget
 ///    for the whole region, every memory bound — before any register
 ///    write, memory write or cost charge.  Any case they cannot replicate
 ///    bit for bit (budget boundary inside the region, a crash, paged
@@ -891,7 +911,6 @@ ThreadStop BlockExec::run_thread_fast(ThreadCtx& t, LaunchStatus& crash_status) 
 /// SIMT / hardware-fault / sanitizer launches use the fast engine's
 /// specializations, so instrumentation semantics live in one place.
 ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_status) {
-  using kir::TOp;
   // The threaded stream, the thread's register file and the flat arena are
   // three disjoint allocations; __restrict lets the compiler keep operands
   // in registers across regs[]/gmem[] stores (plain uint32 writes that TBAA
@@ -967,6 +986,18 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
     finish();                                                               \
     return run_thread_fast<false, false, false, false>(t, crash_status);    \
   } while (0)
+// Crash inside a run: the head charged the whole region up front, so hand
+// back the suffix *after* the crashing op (its refund fields) before the
+// normal crash exit — the launch then bills exactly what the fast engine
+// bills, the prefix up to and including the crashing op.
+#define T_NK_CRASH(st)                \
+  {                                   \
+    left += in->len;                  \
+    local_instr -= in->len;           \
+    local_cycles -= in->cost;         \
+    local_loop -= in->loop_cost;      \
+    T_CRASH(st);                      \
+  }
 
 #if HAUBERK_COMPUTED_GOTO
 #define T_LABEL(n) lbl_##n
@@ -987,57 +1018,26 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
     goto lbl_redispatch;                        \
   } while (0)
 #endif
-// Crash inside a run: the head charged the whole region up front, so hand
-// back the suffix *after* the crashing op (its refund fields) before the
-// normal crash exit — the launch then bills exactly what the fast engine
-// bills, the prefix up to and including the crashing op.
-#define T_NK_CRASH(st)                \
-  {                                   \
-    left += in->len;                  \
-    local_instr -= in->len;           \
-    local_cycles -= in->cost;         \
-    local_loop -= in->loop_cost;      \
-    T_CRASH(st);                      \
-  }
-#define T_SET(expr)                   \
-  {                                   \
-    T_STEP1();                        \
-    regs[in->dst] = (expr);           \
-    T_NEXT();                         \
-  }
 
-// Fused operand evaluators — bit-identical to the corresponding fast
-// single-op handlers.
-#define HB_CMP_LtI(A, B) static_cast<std::uint32_t>(as_i(A) < as_i(B))
-#define HB_CMP_LeI(A, B) static_cast<std::uint32_t>(as_i(A) <= as_i(B))
-#define HB_CMP_GtI(A, B) static_cast<std::uint32_t>(as_i(A) > as_i(B))
-#define HB_CMP_GeI(A, B) static_cast<std::uint32_t>(as_i(A) >= as_i(B))
-#define HB_CMP_LtU(A, B) static_cast<std::uint32_t>((A) < (B))
-#define HB_CMP_LeU(A, B) static_cast<std::uint32_t>((A) <= (B))
-#define HB_CMP_GtU(A, B) static_cast<std::uint32_t>((A) > (B))
-#define HB_CMP_GeU(A, B) static_cast<std::uint32_t>((A) >= (B))
-#define HB_CMP_LtF(A, B) static_cast<std::uint32_t>(as_f(A) < as_f(B))
-#define HB_CMP_LeF(A, B) static_cast<std::uint32_t>(as_f(A) <= as_f(B))
-#define HB_CMP_GtF(A, B) static_cast<std::uint32_t>(as_f(A) > as_f(B))
-#define HB_CMP_GeF(A, B) static_cast<std::uint32_t>(as_f(A) >= as_f(B))
-#define HB_CMP_EqW(A, B) static_cast<std::uint32_t>((A) == (B))
-#define HB_CMP_NeW(A, B) static_cast<std::uint32_t>((A) != (B))
-#define HB_CMP_EqF(A, B) static_cast<std::uint32_t>(as_f(A) == as_f(B))
-#define HB_CMP_NeF(A, B) static_cast<std::uint32_t>(as_f(A) != as_f(B))
-#define HB_ALU_AddW(A, B) ((A) + (B))
-#define HB_ALU_SubW(A, B) ((A) - (B))
-#define HB_ALU_MulW(A, B) ((A) * (B))
-#define HB_ALU_AddF(A, B) fadd_bits((A), (B))
-#define HB_ALU_SubF(A, B) fsub_bits((A), (B))
-#define HB_ALU_MulF(A, B) fmul_bits((A), (B))
-#define HB_ALU_DivF(A, B) fdiv_bits((A), (B))
-#define HB_ALU_MaxF(A, B) fmax_bits((A), (B))
-#define HB_ALU_LtF(A, B) HB_CMP_LtF((A), (B))
-#define HB_ALU_GtI(A, B) HB_CMP_GtI((A), (B))
-#define HB_ALU_EqW(A, B) HB_CMP_EqW((A), (B))
-#define HB_ALU_AndB(A, B) ((A) & (B))
-#define HB_ALU_ShrA(A, B) i_bits(as_i(A) >> ((B) & 31))
-#define HB_ALU_LAndW(A, B) static_cast<std::uint32_t>(((A) != 0) && ((B) != 0))
+// The table's hooks.  OP_CRASH is the accounted crash exit for the singles,
+// redefined to the refunding one for run interiors below.
+#define OP_SET(expr) regs[in->dst] = (expr)
+#define OP_CRASH(st) T_CRASH(st)
+#define OP_PC (pc)
+#define OP_SHADOW(ev, addr)
+#define OP_REG_FAULT(r)
+#define T_SINGLE(n, ...)          \
+  T_LABEL(n) : {                  \
+    T_STEP1();                    \
+    { OP_BODY(n, __VA_ARGS__) }   \
+    T_NEXT();                     \
+  }
+#define T_NAKED(n, ...)           \
+  T_LABEL(Nk_##n) : {             \
+    ++pc;                         \
+    { OP_BODY(n, __VA_ARGS__) }   \
+    T_NEXT();                     \
+  }
 
   const kir::ThreadedInstr* in = code;
 #if HAUBERK_COMPUTED_GOTO
@@ -1045,7 +1045,7 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
   // enum itself, so the two cannot drift.
   static const void* const kLabels[] = {
 #define HAUBERK_TOP_L(n) &&lbl_##n,
-      HAUBERK_TOP_SINGLE_LIST(HAUBERK_TOP_L)
+      HAUBERK_DOP_LIST(HAUBERK_TOP_L)
 #undef HAUBERK_TOP_L
 #define HAUBERK_TOP_L(n) &&lbl_CmpJz_##n, &&lbl_ConstCmpJz_##n,
           HAUBERK_TOP_CMP_LIST(HAUBERK_TOP_L)
@@ -1060,7 +1060,7 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
       &&lbl_RangeCheck2,
       &&lbl_RunHead,
 #define HAUBERK_TOP_L(n) &&lbl_Nk_##n,
-      HAUBERK_TOP_NAKED_LIST(HAUBERK_TOP_L)
+      HAUBERK_DOP_STRAIGHT(HAUBERK_TOP_L)
 #undef HAUBERK_TOP_L
 #define HAUBERK_TOP_L(n) &&lbl_NkConstBin_##n, &&lbl_NkBinChkXor_##n, &&lbl_NkBinDupCmp_##n,
           HAUBERK_TOP_ALU_LIST(HAUBERK_TOP_L)
@@ -1087,277 +1087,18 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
     switch (static_cast<kir::TOp>(opv)) {
 #endif
 
-  // --- singles (mirrors of the run_thread_fast plain-mode handlers) ---
-  T_LABEL(Nop) : {
-    T_STEP1();
-    T_NEXT();
-  }
-  T_LABEL(Const) : T_SET(in->imm);
-  T_LABEL(Mov) : T_SET(regs[in->a]);
-  T_LABEL(Builtin) : T_SET(builtin_value(t, static_cast<BuiltinVal>(in->aux)));
-  T_LABEL(Select) :
-      T_SET(regs[in->a] != 0 ? regs[in->b] : regs[static_cast<std::uint16_t>(in->imm)]);
-
-  T_LABEL(NegF) : T_SET(f_bits(-as_f(regs[in->a])));
-  T_LABEL(NegI) : T_SET(i_bits(-as_i(regs[in->a])));
-  T_LABEL(NotF) : T_SET(as_f(regs[in->a]) == 0.0f);
-  T_LABEL(NotW) : T_SET(regs[in->a] == 0);
-  T_LABEL(BitNot) : T_SET(~regs[in->a]);
-  T_LABEL(AbsF) : T_SET(f_bits(std::fabs(as_f(regs[in->a]))));
-  T_LABEL(AbsI) : {
-    T_STEP1();
-    const std::int32_t x = as_i(regs[in->a]);
-    regs[in->dst] = i_bits(x < 0 ? -x : x);
-    T_NEXT();
-  }
-  T_LABEL(SqrtF) : T_SET(f_bits(std::sqrt(as_f(regs[in->a]))));
-  T_LABEL(RsqrtF) : T_SET(f_bits(1.0f / std::sqrt(as_f(regs[in->a]))));
-  T_LABEL(ExpF) : T_SET(f_bits(std::exp(as_f(regs[in->a]))));
-  T_LABEL(LogF) : T_SET(f_bits(std::log(as_f(regs[in->a]))));
-  T_LABEL(SinF) : T_SET(f_bits(std::sin(as_f(regs[in->a]))));
-  T_LABEL(CosF) : T_SET(f_bits(std::cos(as_f(regs[in->a]))));
-  T_LABEL(FloorF) : T_SET(f_bits(std::floor(as_f(regs[in->a]))));
-  T_LABEL(I2F) : T_SET(f_bits(static_cast<float>(as_i(regs[in->a]))));
-  T_LABEL(P2F) : T_SET(f_bits(static_cast<float>(regs[in->a])));
-  T_LABEL(F2I) : T_SET(f2i_sat(regs[in->a]));
-  T_LABEL(CopyA) : T_SET(regs[in->a]);
-  T_LABEL(UnGeneric) :
-      T_SET(eval_un(static_cast<UnOp>(aux_op(in->aux)), aux_type(in->aux), regs[in->a]));
-
-  T_LABEL(AddF) : T_SET(fadd_bits(regs[in->a], regs[in->b]));
-  T_LABEL(SubF) : T_SET(fsub_bits(regs[in->a], regs[in->b]));
-  T_LABEL(MulF) : T_SET(fmul_bits(regs[in->a], regs[in->b]));
-  T_LABEL(DivF) : T_SET(fdiv_bits(regs[in->a], regs[in->b]));
-  T_LABEL(MinF) : T_SET(fmin_bits(regs[in->a], regs[in->b]));
-  T_LABEL(MaxF) : T_SET(fmax_bits(regs[in->a], regs[in->b]));
-  T_LABEL(LtF) : T_SET(HB_CMP_LtF(regs[in->a], regs[in->b]));
-  T_LABEL(LeF) : T_SET(HB_CMP_LeF(regs[in->a], regs[in->b]));
-  T_LABEL(GtF) : T_SET(HB_CMP_GtF(regs[in->a], regs[in->b]));
-  T_LABEL(GeF) : T_SET(HB_CMP_GeF(regs[in->a], regs[in->b]));
-  T_LABEL(EqF) : T_SET(HB_CMP_EqF(regs[in->a], regs[in->b]));
-  T_LABEL(NeF) : T_SET(HB_CMP_NeF(regs[in->a], regs[in->b]));
-  T_LABEL(AddW) : T_SET(regs[in->a] + regs[in->b]);
-  T_LABEL(SubW) : T_SET(regs[in->a] - regs[in->b]);
-  T_LABEL(MulW) : T_SET(regs[in->a] * regs[in->b]);
-  T_LABEL(DivI) : {
-    T_STEP1();
-    const std::int64_t x = as_i(regs[in->a]), y = as_i(regs[in->b]);
-    if (y == 0) T_CRASH(LaunchStatus::CrashDivByZero);
-    regs[in->dst] = i_bits(static_cast<std::int32_t>(x / y));
-    T_NEXT();
-  }
-  T_LABEL(ModI) : {
-    T_STEP1();
-    const std::int64_t x = as_i(regs[in->a]), y = as_i(regs[in->b]);
-    if (y == 0) T_CRASH(LaunchStatus::CrashDivByZero);
-    regs[in->dst] = i_bits(static_cast<std::int32_t>(x % y));
-    T_NEXT();
-  }
-  T_LABEL(DivU) : {
-    T_STEP1();
-    if (regs[in->b] == 0) T_CRASH(LaunchStatus::CrashDivByZero);
-    regs[in->dst] = regs[in->a] / regs[in->b];
-    T_NEXT();
-  }
-  T_LABEL(ModU) : {
-    T_STEP1();
-    if (regs[in->b] == 0) T_CRASH(LaunchStatus::CrashDivByZero);
-    regs[in->dst] = regs[in->a] % regs[in->b];
-    T_NEXT();
-  }
-  T_LABEL(MinI) : T_SET(as_i(regs[in->a]) < as_i(regs[in->b]) ? regs[in->a] : regs[in->b]);
-  T_LABEL(MaxI) : T_SET(as_i(regs[in->a]) > as_i(regs[in->b]) ? regs[in->a] : regs[in->b]);
-  T_LABEL(MinU) : T_SET(regs[in->a] < regs[in->b] ? regs[in->a] : regs[in->b]);
-  T_LABEL(MaxU) : T_SET(regs[in->a] > regs[in->b] ? regs[in->a] : regs[in->b]);
-  T_LABEL(LtI) : T_SET(HB_CMP_LtI(regs[in->a], regs[in->b]));
-  T_LABEL(LeI) : T_SET(HB_CMP_LeI(regs[in->a], regs[in->b]));
-  T_LABEL(GtI) : T_SET(HB_CMP_GtI(regs[in->a], regs[in->b]));
-  T_LABEL(GeI) : T_SET(HB_CMP_GeI(regs[in->a], regs[in->b]));
-  T_LABEL(LtU) : T_SET(HB_CMP_LtU(regs[in->a], regs[in->b]));
-  T_LABEL(LeU) : T_SET(HB_CMP_LeU(regs[in->a], regs[in->b]));
-  T_LABEL(GtU) : T_SET(HB_CMP_GtU(regs[in->a], regs[in->b]));
-  T_LABEL(GeU) : T_SET(HB_CMP_GeU(regs[in->a], regs[in->b]));
-  T_LABEL(EqW) : T_SET(HB_CMP_EqW(regs[in->a], regs[in->b]));
-  T_LABEL(NeW) : T_SET(HB_CMP_NeW(regs[in->a], regs[in->b]));
-  T_LABEL(AndB) : T_SET(regs[in->a] & regs[in->b]);
-  T_LABEL(OrB) : T_SET(regs[in->a] | regs[in->b]);
-  T_LABEL(XorB) : T_SET(regs[in->a] ^ regs[in->b]);
-  T_LABEL(ShlB) : T_SET(regs[in->a] << (regs[in->b] & 31));
-  T_LABEL(ShrL) : T_SET(regs[in->a] >> (regs[in->b] & 31));
-  T_LABEL(ShrA) : T_SET(i_bits(as_i(regs[in->a]) >> (regs[in->b] & 31)));
-  T_LABEL(LAndW) : T_SET((regs[in->a] != 0) && (regs[in->b] != 0));
-  T_LABEL(LOrW) : T_SET((regs[in->a] != 0) || (regs[in->b] != 0));
-  T_LABEL(BinGeneric) : {
-    T_STEP1();
-    bool crash = false;
-    const std::uint32_t r = eval_bin(static_cast<BinOp>(aux_op(in->aux)), aux_type(in->aux),
-                                     regs[in->a], regs[in->b], crash);
-    if (crash) T_CRASH(LaunchStatus::CrashDivByZero);
-    regs[in->dst] = r;
-    T_NEXT();
-  }
-
-  T_LABEL(LoadG) : {
-    T_STEP1();
-    const std::uint32_t addr = regs[in->a];
-    if (gmem) {
-      if (addr >= gsize) T_CRASH(LaunchStatus::CrashOutOfBounds);
-      regs[in->dst] = gmem[addr];
-    } else if (!mem.load(addr, regs[in->dst])) {
-      T_CRASH(mem_fail_status());
-    }
-    T_NEXT();
-  }
-  T_LABEL(StoreG) : {
-    T_STEP1();
-    const std::uint32_t addr = regs[in->a];
-    if (gmem) {
-      if (addr >= gsize) T_CRASH(LaunchStatus::CrashOutOfBounds);
-      gmem[addr] = regs[in->b];
-      mem.note_store(addr);
-    } else if (!mem.store(addr, regs[in->b])) {
-      T_CRASH(mem_fail_status());
-    }
-    T_NEXT();
-  }
-  T_LABEL(LoadS) : {
-    T_STEP1();
-    const std::uint32_t addr = regs[in->a];
-    if (addr >= ssize) T_CRASH(LaunchStatus::CrashSharedOutOfBounds);
-    regs[in->dst] = shared_[addr];
-    T_NEXT();
-  }
-  T_LABEL(StoreS) : {
-    T_STEP1();
-    const std::uint32_t addr = regs[in->a];
-    if (addr >= ssize) T_CRASH(LaunchStatus::CrashSharedOutOfBounds);
-    shared_[addr] = regs[in->b];
-    T_NEXT();
-  }
-  // The atomic handlers keep the lock_guard inside an inner block: the
-  // computed goto in T_NEXT() must not jump out of the guard's scope (an
-  // indirect goto does not unwind locals, so the mutex would stay locked
-  // and the next atomic in any thread would deadlock the launch).
-  T_LABEL(AtomicAddF) : {
-    T_STEP1();
-    {
-      std::lock_guard<std::mutex> lk(dev_.atomic_mutex());
-      if (gmem) {
-        if (regs[in->a] >= gsize) T_CRASH(LaunchStatus::CrashOutOfBounds);
-        mem.note_store(regs[in->a]);
-        std::uint32_t* const w = gmem + regs[in->a];
-        *w = fadd_bits(*w, regs[in->b]);
-      } else if (!mem.rmw(regs[in->a],
-                          [&](std::uint32_t w) { return fadd_bits(w, regs[in->b]); })) {
-        T_CRASH(mem_fail_status());
-      }
-    }
-    T_NEXT();
-  }
-  T_LABEL(AtomicAddI) : {
-    T_STEP1();
-    {
-      std::lock_guard<std::mutex> lk(dev_.atomic_mutex());
-      if (gmem) {
-        if (regs[in->a] >= gsize) T_CRASH(LaunchStatus::CrashOutOfBounds);
-        mem.note_store(regs[in->a]);
-        std::uint32_t* const w = gmem + regs[in->a];
-        *w = i_bits(static_cast<std::int32_t>(
-            static_cast<std::int64_t>(as_i(*w)) + as_i(regs[in->b])));
-      } else if (!mem.rmw(regs[in->a], [&](std::uint32_t w) {
-                   return i_bits(static_cast<std::int32_t>(
-                       static_cast<std::int64_t>(as_i(w)) + as_i(regs[in->b])));
-                 })) {
-        T_CRASH(mem_fail_status());
-      }
-    }
-    T_NEXT();
-  }
-
-  T_LABEL(Jmp) : {
-    T_STEP1();
-    pc = in->aux;
-    T_NEXT();
-  }
-  T_LABEL(Jz) : {
-    T_STEP1();
-    if (regs[in->a] == 0) pc = in->aux;
-    T_NEXT();
-  }
-  T_LABEL(Barrier) : {
-    T_STEP1();
-    t.barrier_pc = pc - 1;
-    finish();
-    return ThreadStop::Barrier;
-  }
-  T_LABEL(Halt) : {
-    T_STEP1();
-    finish();
-    t.done = true;
-    return ThreadStop::Done;
-  }
-
-  T_LABEL(ChkXor) : {
-    T_STEP1();
-    regs[in->dst] ^= regs[in->a];
-    T_NEXT();
-  }
-  T_LABEL(ChkValidate) : {
-    T_STEP1();
-    if (regs[in->dst] != 0) sdc = true;
-    T_NEXT();
-  }
-  T_LABEL(DupCmp) : {
-    T_STEP1();
-    if (regs[in->a] != regs[in->b]) sdc = true;
-    T_NEXT();
-  }
-  T_LABEL(RangeCheck) : {
-    T_STEP1();
-    if (opts_.hooks &&
-        opts_.hooks->check_range(static_cast<int>(in->aux),
-                                 kir::Value{static_cast<DType>(in->t), regs[in->a]}))
-      sdc = true;
-    T_NEXT();
-  }
-  T_LABEL(EqualCheck) : {
-    T_STEP1();
-    if (regs[in->a] != regs[in->b]) {
-      sdc = true;
-      if (opts_.hooks) opts_.hooks->equal_check_failed(static_cast<int>(in->aux));
-    }
-    T_NEXT();
-  }
-  T_LABEL(ProfileVal) : {
-    T_STEP1();
-    if (opts_.hooks)
-      opts_.hooks->profile_value(static_cast<int>(in->aux),
-                                 kir::Value{static_cast<DType>(in->t), regs[in->a]});
-    T_NEXT();
-  }
-  T_LABEL(CountExec) : {
-    T_STEP1();
-    if (opts_.hooks) opts_.hooks->count_exec(in->aux, t.linear);
-    T_NEXT();
-  }
-  T_LABEL(FIHook) : {
-    T_STEP1();
-    if (opts_.hooks) opts_.hooks->fi_hook(in->aux, t.linear, regs[in->a]);
-    T_NEXT();
-  }
-  T_LABEL(Invalid) : {
-    T_STEP1();
-    T_CRASH(LaunchStatus::CrashInvalidInstr);
-  }
+  // --- singles ---
+  HB_OPS_STRAIGHT(T_SINGLE)
+  HB_OPS_CONTROL(T_SINGLE)
 
   // --- fused superinstructions ---
 #define T_CMPJZ(K)                                                           \
   T_LABEL(CmpJz_##K) : {                                                     \
     if (left < 2) T_DELEGATE();                                              \
     T_CHARGE(2);                                                             \
-    const std::uint32_t v_ = HB_CMP_##K(regs[in->a], regs[in->b]);           \
+    const std::uint32_t v_ = op_##K(regs[in->a], regs[in->b]);               \
     regs[in->dst] = v_;                                                      \
-    pc = v_ == 0 ? in->aux : pc + 2;                                     \
+    pc = v_ == 0 ? in->aux : pc + 2;                                         \
     T_NEXT();                                                                \
   }                                                                          \
   T_LABEL(ConstCmpJz_##K) : {                                                \
@@ -1365,10 +1106,9 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
     T_CHARGE(3);                                                             \
     regs[in->c] = in->imm;                                                   \
     const std::uint32_t x_ = regs[in->a];                                    \
-    const std::uint32_t v_ =                                                 \
-        in->t ? HB_CMP_##K(in->imm, x_) : HB_CMP_##K(x_, in->imm);           \
+    const std::uint32_t v_ = in->t ? op_##K(in->imm, x_) : op_##K(x_, in->imm); \
     regs[in->dst] = v_;                                                      \
-    pc = v_ == 0 ? in->aux : pc + 3;                                     \
+    pc = v_ == 0 ? in->aux : pc + 3;                                         \
     T_NEXT();                                                                \
   }
   HAUBERK_TOP_CMP_LIST(T_CMPJZ)
@@ -1378,82 +1118,67 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
     if (left < 3) T_DELEGATE();
     T_CHARGE(3);
     regs[in->c] = in->imm;
-    regs[in->dst] = regs[in->a] + regs[in->b];
+    regs[in->dst] = op_AddW(regs[in->a], regs[in->b]);
     pc = in->aux;
     T_NEXT();
   }
   T_LABEL(AddJmp) : {
     if (left < 2) T_DELEGATE();
     T_CHARGE(2);
-    regs[in->dst] = regs[in->a] + regs[in->b];
+    regs[in->dst] = op_AddW(regs[in->a], regs[in->b]);
     pc = in->aux;
     T_NEXT();
   }
 
-#define T_ALUFUSE(K)                                                         \
-  T_LABEL(ConstBin_##K) : {                                                  \
+  // Crash-free two-op fusions, each in two forms sharing one body: a fused
+  // head (one budget test, one summed charge) and its naked twin inside a
+  // run (the RunHead already charged it).
+#define T_PAIR(NAME, ...)                                                    \
+  T_LABEL(NAME) : {                                                          \
     if (left < 2) T_DELEGATE();                                              \
     T_CHARGE(2);                                                             \
-    regs[in->c] = in->imm;                                                   \
-    regs[in->dst] = HB_ALU_##K(regs[in->a], regs[in->b]);                    \
-    pc += 2;                                                               \
+    __VA_ARGS__                                                              \
+    pc += 2;                                                                 \
     T_NEXT();                                                                \
   }                                                                          \
+  T_LABEL(Nk##NAME) : {                                                      \
+    __VA_ARGS__                                                              \
+    pc += 2;                                                                 \
+    T_NEXT();                                                                \
+  }
+#define T_ALUFUSE(K)                                                         \
+  T_PAIR(ConstBin_##K, regs[in->c] = in->imm;                                \
+         regs[in->dst] = op_##K(regs[in->a], regs[in->b]);)                  \
+  T_PAIR(BinChkXor_##K, regs[in->dst] = op_##K(regs[in->a], regs[in->b]);    \
+         regs[in->c] ^= regs[in->d];)                                        \
+  T_PAIR(BinDupCmp_##K, regs[in->dst] = op_##K(regs[in->a], regs[in->b]);    \
+         if (regs[in->c] != regs[in->d]) sdc = true;)                        \
   T_LABEL(LoadBinStore_##K) : {                                              \
     const std::uint32_t la_ = regs[in->a];                                   \
     const std::uint32_t sa_ = regs[in->b];                                   \
     if (left < 3 || la_ >= gsize || sa_ >= gsize) T_DELEGATE();              \
     T_CHARGE(3);                                                             \
     regs[in->c] = gmem[la_];                                                 \
-    const std::uint32_t r_ =                                                 \
-        HB_ALU_##K(regs[in->aux & 0xffffu], regs[in->aux >> 16]);            \
+    const std::uint32_t r_ = op_##K(regs[in->aux & 0xffffu], regs[in->aux >> 16]); \
     regs[in->dst] = r_;                                                      \
     gmem[sa_] = r_;                                                          \
     mem.note_store(sa_);                                                     \
-    pc += 3;                                                               \
-    T_NEXT();                                                                \
-  }                                                                          \
-  T_LABEL(BinChkXor_##K) : {                                                 \
-    if (left < 2) T_DELEGATE();                                              \
-    T_CHARGE(2);                                                             \
-    regs[in->dst] = HB_ALU_##K(regs[in->a], regs[in->b]);                    \
-    regs[in->c] ^= regs[in->d];                                              \
-    pc += 2;                                                               \
-    T_NEXT();                                                                \
-  }                                                                          \
-  T_LABEL(BinDupCmp_##K) : {                                                 \
-    if (left < 2) T_DELEGATE();                                              \
-    T_CHARGE(2);                                                             \
-    regs[in->dst] = HB_ALU_##K(regs[in->a], regs[in->b]);                    \
-    if (regs[in->c] != regs[in->d]) sdc = true;                              \
-    pc += 2;                                                               \
+    pc += 3;                                                                 \
     T_NEXT();                                                                \
   }
   HAUBERK_TOP_ALU_LIST(T_ALUFUSE)
 #undef T_ALUFUSE
 
-  T_LABEL(ChkXor2) : {
-    if (left < 2) T_DELEGATE();
-    T_CHARGE(2);
-    regs[in->dst] ^= regs[in->a];
-    regs[in->c] ^= regs[in->d];
-    pc += 2;
-    T_NEXT();
-  }
-  T_LABEL(RangeCheck2) : {
-    if (left < 2) T_DELEGATE();
-    T_CHARGE(2);
-    if (opts_.hooks) {
-      if (opts_.hooks->check_range(static_cast<int>(in->aux),
-                                   kir::Value{static_cast<DType>(in->t & 0xf), regs[in->a]}))
-        sdc = true;
-      if (opts_.hooks->check_range(static_cast<int>(in->imm),
-                                   kir::Value{static_cast<DType>(in->t >> 4), regs[in->c]}))
-        sdc = true;
-    }
-    pc += 2;
-    T_NEXT();
-  }
+  T_PAIR(ChkXor2, regs[in->dst] ^= regs[in->a]; regs[in->c] ^= regs[in->d];)
+  T_PAIR(RangeCheck2, if (opts_.hooks) {
+    if (opts_.hooks->check_range(static_cast<int>(in->aux),
+                                 kir::Value{static_cast<DType>(in->t & 0xf), regs[in->a]}))
+      sdc = true;
+    if (opts_.hooks->check_range(static_cast<int>(in->imm),
+                                 kir::Value{static_cast<DType>(in->t >> 4), regs[in->c]}))
+      sdc = true;
+  })
+#undef T_PAIR
 
   // --- straight-line runs ---
   // RunHead: one budget test and one pre-summed charge for the whole
@@ -1467,301 +1192,12 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
     T_DISPATCH_D();
   }
 
-  // Naked singles: the single-op bodies minus all accounting — the RunHead
-  // already billed the region.  Crashable ops refund their suffix (carried
-  // in their cost/loop_cost/len fields) before the crash exit; the atomic
-  // handlers keep the lock_guard scoped exactly like the accounted ones.
-#define T_NSET(expr)          \
-  {                           \
-    regs[in->dst] = (expr);   \
-    ++pc;                     \
-    T_NEXT();                 \
-  }
-  T_LABEL(Nk_Nop) : {
-    ++pc;
-    T_NEXT();
-  }
-  T_LABEL(Nk_Const) : T_NSET(in->imm);
-  T_LABEL(Nk_Mov) : T_NSET(regs[in->a]);
-  T_LABEL(Nk_Builtin) : T_NSET(builtin_value(t, static_cast<BuiltinVal>(in->aux)));
-  T_LABEL(Nk_Select) :
-      T_NSET(regs[in->a] != 0 ? regs[in->b] : regs[static_cast<std::uint16_t>(in->imm)]);
-
-  T_LABEL(Nk_NegF) : T_NSET(f_bits(-as_f(regs[in->a])));
-  T_LABEL(Nk_NegI) : T_NSET(i_bits(-as_i(regs[in->a])));
-  T_LABEL(Nk_NotF) : T_NSET(as_f(regs[in->a]) == 0.0f);
-  T_LABEL(Nk_NotW) : T_NSET(regs[in->a] == 0);
-  T_LABEL(Nk_BitNot) : T_NSET(~regs[in->a]);
-  T_LABEL(Nk_AbsF) : T_NSET(f_bits(std::fabs(as_f(regs[in->a]))));
-  T_LABEL(Nk_AbsI) : {
-    const std::int32_t x = as_i(regs[in->a]);
-    regs[in->dst] = i_bits(x < 0 ? -x : x);
-    ++pc;
-    T_NEXT();
-  }
-  T_LABEL(Nk_SqrtF) : T_NSET(f_bits(std::sqrt(as_f(regs[in->a]))));
-  T_LABEL(Nk_RsqrtF) : T_NSET(f_bits(1.0f / std::sqrt(as_f(regs[in->a]))));
-  T_LABEL(Nk_ExpF) : T_NSET(f_bits(std::exp(as_f(regs[in->a]))));
-  T_LABEL(Nk_LogF) : T_NSET(f_bits(std::log(as_f(regs[in->a]))));
-  T_LABEL(Nk_SinF) : T_NSET(f_bits(std::sin(as_f(regs[in->a]))));
-  T_LABEL(Nk_CosF) : T_NSET(f_bits(std::cos(as_f(regs[in->a]))));
-  T_LABEL(Nk_FloorF) : T_NSET(f_bits(std::floor(as_f(regs[in->a]))));
-  T_LABEL(Nk_I2F) : T_NSET(f_bits(static_cast<float>(as_i(regs[in->a]))));
-  T_LABEL(Nk_P2F) : T_NSET(f_bits(static_cast<float>(regs[in->a])));
-  T_LABEL(Nk_F2I) : T_NSET(f2i_sat(regs[in->a]));
-  T_LABEL(Nk_CopyA) : T_NSET(regs[in->a]);
-  T_LABEL(Nk_UnGeneric) :
-      T_NSET(eval_un(static_cast<UnOp>(aux_op(in->aux)), aux_type(in->aux), regs[in->a]));
-
-  T_LABEL(Nk_AddF) : T_NSET(fadd_bits(regs[in->a], regs[in->b]));
-  T_LABEL(Nk_SubF) : T_NSET(fsub_bits(regs[in->a], regs[in->b]));
-  T_LABEL(Nk_MulF) : T_NSET(fmul_bits(regs[in->a], regs[in->b]));
-  T_LABEL(Nk_DivF) : T_NSET(fdiv_bits(regs[in->a], regs[in->b]));
-  T_LABEL(Nk_MinF) : T_NSET(fmin_bits(regs[in->a], regs[in->b]));
-  T_LABEL(Nk_MaxF) : T_NSET(fmax_bits(regs[in->a], regs[in->b]));
-  T_LABEL(Nk_LtF) : T_NSET(HB_CMP_LtF(regs[in->a], regs[in->b]));
-  T_LABEL(Nk_LeF) : T_NSET(HB_CMP_LeF(regs[in->a], regs[in->b]));
-  T_LABEL(Nk_GtF) : T_NSET(HB_CMP_GtF(regs[in->a], regs[in->b]));
-  T_LABEL(Nk_GeF) : T_NSET(HB_CMP_GeF(regs[in->a], regs[in->b]));
-  T_LABEL(Nk_EqF) : T_NSET(HB_CMP_EqF(regs[in->a], regs[in->b]));
-  T_LABEL(Nk_NeF) : T_NSET(HB_CMP_NeF(regs[in->a], regs[in->b]));
-  T_LABEL(Nk_AddW) : T_NSET(regs[in->a] + regs[in->b]);
-  T_LABEL(Nk_SubW) : T_NSET(regs[in->a] - regs[in->b]);
-  T_LABEL(Nk_MulW) : T_NSET(regs[in->a] * regs[in->b]);
-  T_LABEL(Nk_DivI) : {
-    ++pc;
-    const std::int64_t x = as_i(regs[in->a]), y = as_i(regs[in->b]);
-    if (y == 0) T_NK_CRASH(LaunchStatus::CrashDivByZero);
-    regs[in->dst] = i_bits(static_cast<std::int32_t>(x / y));
-    T_NEXT();
-  }
-  T_LABEL(Nk_ModI) : {
-    ++pc;
-    const std::int64_t x = as_i(regs[in->a]), y = as_i(regs[in->b]);
-    if (y == 0) T_NK_CRASH(LaunchStatus::CrashDivByZero);
-    regs[in->dst] = i_bits(static_cast<std::int32_t>(x % y));
-    T_NEXT();
-  }
-  T_LABEL(Nk_DivU) : {
-    ++pc;
-    if (regs[in->b] == 0) T_NK_CRASH(LaunchStatus::CrashDivByZero);
-    regs[in->dst] = regs[in->a] / regs[in->b];
-    T_NEXT();
-  }
-  T_LABEL(Nk_ModU) : {
-    ++pc;
-    if (regs[in->b] == 0) T_NK_CRASH(LaunchStatus::CrashDivByZero);
-    regs[in->dst] = regs[in->a] % regs[in->b];
-    T_NEXT();
-  }
-  T_LABEL(Nk_MinI) : T_NSET(as_i(regs[in->a]) < as_i(regs[in->b]) ? regs[in->a] : regs[in->b]);
-  T_LABEL(Nk_MaxI) : T_NSET(as_i(regs[in->a]) > as_i(regs[in->b]) ? regs[in->a] : regs[in->b]);
-  T_LABEL(Nk_MinU) : T_NSET(regs[in->a] < regs[in->b] ? regs[in->a] : regs[in->b]);
-  T_LABEL(Nk_MaxU) : T_NSET(regs[in->a] > regs[in->b] ? regs[in->a] : regs[in->b]);
-  T_LABEL(Nk_LtI) : T_NSET(HB_CMP_LtI(regs[in->a], regs[in->b]));
-  T_LABEL(Nk_LeI) : T_NSET(HB_CMP_LeI(regs[in->a], regs[in->b]));
-  T_LABEL(Nk_GtI) : T_NSET(HB_CMP_GtI(regs[in->a], regs[in->b]));
-  T_LABEL(Nk_GeI) : T_NSET(HB_CMP_GeI(regs[in->a], regs[in->b]));
-  T_LABEL(Nk_LtU) : T_NSET(HB_CMP_LtU(regs[in->a], regs[in->b]));
-  T_LABEL(Nk_LeU) : T_NSET(HB_CMP_LeU(regs[in->a], regs[in->b]));
-  T_LABEL(Nk_GtU) : T_NSET(HB_CMP_GtU(regs[in->a], regs[in->b]));
-  T_LABEL(Nk_GeU) : T_NSET(HB_CMP_GeU(regs[in->a], regs[in->b]));
-  T_LABEL(Nk_EqW) : T_NSET(HB_CMP_EqW(regs[in->a], regs[in->b]));
-  T_LABEL(Nk_NeW) : T_NSET(HB_CMP_NeW(regs[in->a], regs[in->b]));
-  T_LABEL(Nk_AndB) : T_NSET(regs[in->a] & regs[in->b]);
-  T_LABEL(Nk_OrB) : T_NSET(regs[in->a] | regs[in->b]);
-  T_LABEL(Nk_XorB) : T_NSET(regs[in->a] ^ regs[in->b]);
-  T_LABEL(Nk_ShlB) : T_NSET(regs[in->a] << (regs[in->b] & 31));
-  T_LABEL(Nk_ShrL) : T_NSET(regs[in->a] >> (regs[in->b] & 31));
-  T_LABEL(Nk_ShrA) : T_NSET(i_bits(as_i(regs[in->a]) >> (regs[in->b] & 31)));
-  T_LABEL(Nk_LAndW) : T_NSET((regs[in->a] != 0) && (regs[in->b] != 0));
-  T_LABEL(Nk_LOrW) : T_NSET((regs[in->a] != 0) || (regs[in->b] != 0));
-  T_LABEL(Nk_BinGeneric) : {
-    ++pc;
-    bool crash = false;
-    const std::uint32_t r = eval_bin(static_cast<BinOp>(aux_op(in->aux)), aux_type(in->aux),
-                                     regs[in->a], regs[in->b], crash);
-    if (crash) T_NK_CRASH(LaunchStatus::CrashDivByZero);
-    regs[in->dst] = r;
-    T_NEXT();
-  }
-
-  T_LABEL(Nk_LoadG) : {
-    ++pc;
-    const std::uint32_t addr = regs[in->a];
-    if (gmem) {
-      if (addr >= gsize) T_NK_CRASH(LaunchStatus::CrashOutOfBounds);
-      regs[in->dst] = gmem[addr];
-    } else if (!mem.load(addr, regs[in->dst])) {
-      T_NK_CRASH(mem_fail_status());
-    }
-    T_NEXT();
-  }
-  T_LABEL(Nk_StoreG) : {
-    ++pc;
-    const std::uint32_t addr = regs[in->a];
-    if (gmem) {
-      if (addr >= gsize) T_NK_CRASH(LaunchStatus::CrashOutOfBounds);
-      gmem[addr] = regs[in->b];
-      mem.note_store(addr);
-    } else if (!mem.store(addr, regs[in->b])) {
-      T_NK_CRASH(mem_fail_status());
-    }
-    T_NEXT();
-  }
-  T_LABEL(Nk_LoadS) : {
-    ++pc;
-    const std::uint32_t addr = regs[in->a];
-    if (addr >= ssize) T_NK_CRASH(LaunchStatus::CrashSharedOutOfBounds);
-    regs[in->dst] = shared_[addr];
-    T_NEXT();
-  }
-  T_LABEL(Nk_StoreS) : {
-    ++pc;
-    const std::uint32_t addr = regs[in->a];
-    if (addr >= ssize) T_NK_CRASH(LaunchStatus::CrashSharedOutOfBounds);
-    shared_[addr] = regs[in->b];
-    T_NEXT();
-  }
-  T_LABEL(Nk_AtomicAddF) : {
-    ++pc;
-    {
-      std::lock_guard<std::mutex> lk(dev_.atomic_mutex());
-      if (gmem) {
-        if (regs[in->a] >= gsize) T_NK_CRASH(LaunchStatus::CrashOutOfBounds);
-        mem.note_store(regs[in->a]);
-        std::uint32_t* const w = gmem + regs[in->a];
-        *w = fadd_bits(*w, regs[in->b]);
-      } else if (!mem.rmw(regs[in->a],
-                          [&](std::uint32_t w) { return fadd_bits(w, regs[in->b]); })) {
-        T_NK_CRASH(mem_fail_status());
-      }
-    }
-    T_NEXT();
-  }
-  T_LABEL(Nk_AtomicAddI) : {
-    ++pc;
-    {
-      std::lock_guard<std::mutex> lk(dev_.atomic_mutex());
-      if (gmem) {
-        if (regs[in->a] >= gsize) T_NK_CRASH(LaunchStatus::CrashOutOfBounds);
-        mem.note_store(regs[in->a]);
-        std::uint32_t* const w = gmem + regs[in->a];
-        *w = i_bits(static_cast<std::int32_t>(
-            static_cast<std::int64_t>(as_i(*w)) + as_i(regs[in->b])));
-      } else if (!mem.rmw(regs[in->a], [&](std::uint32_t w) {
-                   return i_bits(static_cast<std::int32_t>(
-                       static_cast<std::int64_t>(as_i(w)) + as_i(regs[in->b])));
-                 })) {
-        T_NK_CRASH(mem_fail_status());
-      }
-    }
-    T_NEXT();
-  }
-
-  T_LABEL(Nk_ChkXor) : {
-    regs[in->dst] ^= regs[in->a];
-    ++pc;
-    T_NEXT();
-  }
-  T_LABEL(Nk_ChkValidate) : {
-    if (regs[in->dst] != 0) sdc = true;
-    ++pc;
-    T_NEXT();
-  }
-  T_LABEL(Nk_DupCmp) : {
-    if (regs[in->a] != regs[in->b]) sdc = true;
-    ++pc;
-    T_NEXT();
-  }
-  T_LABEL(Nk_RangeCheck) : {
-    if (opts_.hooks &&
-        opts_.hooks->check_range(static_cast<int>(in->aux),
-                                 kir::Value{static_cast<DType>(in->t), regs[in->a]}))
-      sdc = true;
-    ++pc;
-    T_NEXT();
-  }
-  T_LABEL(Nk_EqualCheck) : {
-    if (regs[in->a] != regs[in->b]) {
-      sdc = true;
-      if (opts_.hooks) opts_.hooks->equal_check_failed(static_cast<int>(in->aux));
-    }
-    ++pc;
-    T_NEXT();
-  }
-  T_LABEL(Nk_ProfileVal) : {
-    if (opts_.hooks)
-      opts_.hooks->profile_value(static_cast<int>(in->aux),
-                                 kir::Value{static_cast<DType>(in->t), regs[in->a]});
-    ++pc;
-    T_NEXT();
-  }
-  T_LABEL(Nk_CountExec) : {
-    if (opts_.hooks) opts_.hooks->count_exec(in->aux, t.linear);
-    ++pc;
-    T_NEXT();
-  }
-  T_LABEL(Nk_FIHook) : {
-    if (opts_.hooks) opts_.hooks->fi_hook(in->aux, t.linear, regs[in->a]);
-    ++pc;
-    T_NEXT();
-  }
-
-  // Naked fused pairs: two ops, one dispatch, zero accounting.
-#define T_NK_ALUFUSE(K)                                                      \
-  T_LABEL(NkConstBin_##K) : {                                                \
-    regs[in->c] = in->imm;                                                   \
-    regs[in->dst] = HB_ALU_##K(regs[in->a], regs[in->b]);                    \
-    pc += 2;                                                                 \
-    T_NEXT();                                                                \
-  }                                                                          \
-  T_LABEL(NkBinChkXor_##K) : {                                               \
-    regs[in->dst] = HB_ALU_##K(regs[in->a], regs[in->b]);                    \
-    regs[in->c] ^= regs[in->d];                                              \
-    pc += 2;                                                                 \
-    T_NEXT();                                                                \
-  }                                                                          \
-  T_LABEL(NkBinDupCmp_##K) : {                                               \
-    regs[in->dst] = HB_ALU_##K(regs[in->a], regs[in->b]);                    \
-    if (regs[in->c] != regs[in->d]) sdc = true;                              \
-    pc += 2;                                                                 \
-    T_NEXT();                                                                \
-  }
-  HAUBERK_TOP_ALU_LIST(T_NK_ALUFUSE)
-#undef T_NK_ALUFUSE
-
-  T_LABEL(NkChkXor2) : {
-    regs[in->dst] ^= regs[in->a];
-    regs[in->c] ^= regs[in->d];
-    pc += 2;
-    T_NEXT();
-  }
-  T_LABEL(NkRangeCheck2) : {
-    if (opts_.hooks) {
-      if (opts_.hooks->check_range(static_cast<int>(in->aux),
-                                   kir::Value{static_cast<DType>(in->t & 0xf), regs[in->a]}))
-        sdc = true;
-      if (opts_.hooks->check_range(static_cast<int>(in->imm),
-                                   kir::Value{static_cast<DType>(in->t >> 4), regs[in->c]}))
-        sdc = true;
-    }
-    pc += 2;
-    T_NEXT();
-  }
-
-// Load a word inside a naked tile: same bounds/paging behavior as Nk_LoadG,
-// with the tile's suffix-refund crash exit.
-#define T_NK_LOAD(DST, ADDREXPR)                                   \
-  {                                                                \
-    const std::uint32_t a_ = (ADDREXPR);                           \
-    if (gmem) {                                                    \
-      if (a_ >= gsize) T_NK_CRASH(LaunchStatus::CrashOutOfBounds); \
-      (DST) = gmem[a_];                                            \
-    } else if (!mem.load(a_, (DST))) {                             \
-      T_NK_CRASH(mem_fail_status());                               \
-    }                                                              \
-  }
+  // Naked singles and tiles: no accounting, and crashable ops refund their
+  // suffix (carried in their cost/loop_cost/len fields) before the crash
+  // exit.
+#undef OP_CRASH
+#define OP_CRASH(st) T_NK_CRASH(st)
+  HB_OPS_STRAIGHT(T_NAKED)
 
   // Generic naked tiles (field layouts in threaded.cpp).  Sub-ops execute
   // strictly in source order against regs[], so operand aliasing between
@@ -1770,8 +1206,8 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
   // billed, matching the fast engine's per-op trace.
 #define T_NK_BINBIN(K1, K2)                                                    \
   T_LABEL(NkBinBin_##K1##_##K2) : {                                            \
-    regs[in->dst] = HB_ALU_##K1(regs[in->a], regs[in->b]);                     \
-    regs[in->c] = HB_ALU_##K2(regs[in->aux & 0xffffu], regs[in->aux >> 16]);   \
+    regs[in->dst] = op_##K1(regs[in->a], regs[in->b]);                         \
+    regs[in->c] = op_##K2(regs[in->aux & 0xffffu], regs[in->aux >> 16]);       \
     pc += 2;                                                                   \
     T_NEXT();                                                                  \
   }
@@ -1780,28 +1216,28 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
 
 #define T_NK_TILES(K)                                                          \
   T_LABEL(NkBinConst_##K) : {                                                  \
-    regs[in->dst] = HB_ALU_##K(regs[in->a], regs[in->b]);                      \
+    regs[in->dst] = op_##K(regs[in->a], regs[in->b]);                          \
     regs[in->c] = in->imm;                                                     \
     pc += 2;                                                                   \
     T_NEXT();                                                                  \
   }                                                                            \
   T_LABEL(NkLoadBin_##K) : {                                                   \
     pc += 2;                                                                   \
-    T_NK_LOAD(regs[in->dst], regs[in->a]);                                     \
-    regs[in->c] = HB_ALU_##K(regs[in->aux & 0xffffu], regs[in->aux >> 16]);    \
+    OP_GLOAD(regs[in->dst], regs[in->a]);                                      \
+    regs[in->c] = op_##K(regs[in->aux & 0xffffu], regs[in->aux >> 16]);        \
     T_NEXT();                                                                  \
   }                                                                            \
   T_LABEL(NkBinLoad_##K) : {                                                   \
     pc += 2;                                                                   \
-    regs[in->dst] = HB_ALU_##K(regs[in->a], regs[in->b]);                      \
-    T_NK_LOAD(regs[in->c], regs[in->d]);                                       \
+    regs[in->dst] = op_##K(regs[in->a], regs[in->b]);                          \
+    OP_GLOAD(regs[in->c], regs[in->d]);                                        \
     T_NEXT();                                                                  \
   }                                                                            \
   T_LABEL(NkConstBinLoad_##K) : {                                              \
     pc += 3;                                                                   \
     regs[in->dst] = in->imm;                                                   \
-    regs[in->c] = HB_ALU_##K(regs[in->aux & 0xffffu], regs[in->aux >> 16]);    \
-    T_NK_LOAD(regs[in->b], regs[in->a]);                                       \
+    regs[in->c] = op_##K(regs[in->aux & 0xffffu], regs[in->aux >> 16]);        \
+    OP_GLOAD(regs[in->b], regs[in->a]);                                        \
     T_NEXT();                                                                  \
   }
   HAUBERK_TOP_ALU_LIST(T_NK_TILES)
@@ -1815,7 +1251,7 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
   }
   T_LABEL(NkLoadConst) : {
     pc += 2;
-    T_NK_LOAD(regs[in->dst], regs[in->a]);
+    OP_GLOAD(regs[in->dst], regs[in->a]);
     regs[in->c] = in->imm;
     T_NEXT();
   }
@@ -1833,47 +1269,21 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
   finish();
   return ThreadStop::Crash;
 
+#undef OP_SET
+#undef OP_CRASH
+#undef OP_PC
+#undef OP_SHADOW
+#undef OP_REG_FAULT
+#undef T_SINGLE
+#undef T_NAKED
 #undef T_STEP1
 #undef T_CHARGE
 #undef T_CRASH
 #undef T_NK_CRASH
-#undef T_NK_LOAD
 #undef T_DELEGATE
 #undef T_LABEL
 #undef T_NEXT
 #undef T_DISPATCH_D
-#undef T_SET
-#undef T_NSET
-#undef HB_CMP_LtI
-#undef HB_CMP_LeI
-#undef HB_CMP_GtI
-#undef HB_CMP_GeI
-#undef HB_CMP_LtU
-#undef HB_CMP_LeU
-#undef HB_CMP_GtU
-#undef HB_CMP_GeU
-#undef HB_CMP_LtF
-#undef HB_CMP_LeF
-#undef HB_CMP_GtF
-#undef HB_CMP_GeF
-#undef HB_CMP_EqW
-#undef HB_CMP_NeW
-#undef HB_CMP_EqF
-#undef HB_CMP_NeF
-#undef HB_ALU_AddW
-#undef HB_ALU_SubW
-#undef HB_ALU_MulW
-#undef HB_ALU_AddF
-#undef HB_ALU_SubF
-#undef HB_ALU_MulF
-#undef HB_ALU_DivF
-#undef HB_ALU_MaxF
-#undef HB_ALU_LtF
-#undef HB_ALU_GtI
-#undef HB_ALU_EqW
-#undef HB_ALU_AndB
-#undef HB_ALU_ShrA
-#undef HB_ALU_LAndW
 }
 
 /// Engine dispatch for one thread time-slice: mode -1 is the reference
@@ -2116,50 +1526,48 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
   const std::uint64_t ecc_before = mem_->ecc_corrected();
 
   const std::uint32_t num_blocks = cfg.grid_x * cfg.grid_y;
+  // Per-block results, reduced in block order after the join.
+  struct BlockResult {
+    LaunchStatus status = LaunchStatus::Ok;
+    bool sdc = false;
+    std::uint64_t cycles = 0, loop_cycles = 0, instructions = 0, simt_cycles = 0;
+    std::uint64_t reports_dropped = 0;
+    std::int64_t deadlock_pc = -1, deadlock_site = -1;
+  };
+  std::vector<BlockResult> blocks(num_blocks);
   std::atomic<std::uint32_t> next_block{0};
-  std::atomic<std::uint64_t> cycles{0}, loop_cycles{0}, instructions{0}, simt_cycles{0};
-  std::atomic<std::uint64_t> reports_dropped{0};
-  std::atomic<bool> sdc{false};
-  std::atomic<int> bad_status{static_cast<int>(LaunchStatus::Ok)};
+  std::atomic<bool> failed{false};
   std::mutex profile_mu;
   if (opts.instr_exec_counts) opts.instr_exec_counts->assign(program.code.size(), 0);
   // Per-block report sinks, flattened in block order after the join, so the
   // sanitizer's report stream does not depend on worker scheduling.
   std::vector<std::vector<SanitizerReport>> block_reports(sanitize ? num_blocks : 0);
-  // Deadlock diagnostics from the block whose failure won the status race;
-  // written only by the CAS winner, read after the pool join (synchronized).
-  std::int64_t deadlock_pc = -1, deadlock_site = -1;
 
   auto worker = [&] {
-    for (;;) {
-      // A kernel crash aborts the whole launch (the GPU runtime kills the grid).
-      if (bad_status.load(std::memory_order_relaxed) != static_cast<int>(LaunchStatus::Ok))
-        return;
+    // A kernel crash aborts the whole launch (the GPU runtime kills the
+    // grid): once any block failed, no worker claims another; the others
+    // finish their current block.
+    while (!failed.load(std::memory_order_relaxed)) {
       const std::uint32_t b = next_block.fetch_add(1, std::memory_order_relaxed);
       if (b >= num_blocks) return;
       BlockExec exec(*this, program, cfg, opts, costs, plan->decoded, plan->threaded,
                      engine_, b, sanitize ? &block_reports[b] : nullptr);
-      const LaunchStatus st = exec.run(args);
-      cycles.fetch_add(exec.cycles, std::memory_order_relaxed);
-      loop_cycles.fetch_add(exec.loop_cycles, std::memory_order_relaxed);
-      instructions.fetch_add(exec.instructions, std::memory_order_relaxed);
-      simt_cycles.fetch_add(exec.simt_cycles, std::memory_order_relaxed);
-      reports_dropped.fetch_add(exec.sanitizer_dropped(), std::memory_order_relaxed);
-      if (exec.sdc) sdc.store(true, std::memory_order_relaxed);
+      BlockResult& r = blocks[b];
+      r.status = exec.run(args);
+      r.sdc = exec.sdc;
+      r.cycles = exec.cycles;
+      r.loop_cycles = exec.loop_cycles;
+      r.instructions = exec.instructions;
+      r.simt_cycles = exec.simt_cycles;
+      r.reports_dropped = exec.sanitizer_dropped();
+      r.deadlock_pc = exec.deadlock_pc;
+      r.deadlock_site = exec.deadlock_site;
       if (opts.instr_exec_counts) {
         std::lock_guard<std::mutex> lk(profile_mu);
         for (std::size_t i = 0; i < exec.exec_counts.size(); ++i)
           (*opts.instr_exec_counts)[i] += exec.exec_counts[i];
       }
-      if (st != LaunchStatus::Ok) {
-        // Keep the most severe (first observed) failure; crash > hang.
-        int expected = static_cast<int>(LaunchStatus::Ok);
-        if (bad_status.compare_exchange_strong(expected, static_cast<int>(st))) {
-          deadlock_pc = exec.deadlock_pc;
-          deadlock_site = exec.deadlock_site;
-        }
-        return;  // this worker stops; others finish their current block
-      }
+      if (r.status != LaunchStatus::Ok) failed.store(true, std::memory_order_relaxed);
     }
   };
 
@@ -2179,22 +1587,36 @@ LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchCon
     launch_pool_->run(nw, [&](unsigned) { worker(); });
   }
 
-  res.status = static_cast<LaunchStatus>(bad_status.load());
-  res.sdc_alarm = sdc.load();
-  res.deadlock_pc = deadlock_pc;
-  res.deadlock_site = deadlock_site;
+  // Reduce blocks 0..f, where f is the lowest-index failing block (the last
+  // block when none failed).  Blocks are claimed in index order and a
+  // claimed block always completes, so every block below f ran to success
+  // whatever the worker count, and the result equals a single-worker
+  // launch's.  Blocks past f that other workers were already running are
+  // dropped.
+  std::uint32_t end = 0;
+  while (end < num_blocks) {
+    const BlockResult& r = blocks[end++];
+    res.sdc_alarm |= r.sdc;
+    res.cycles += r.cycles;
+    res.loop_cycles += r.loop_cycles;
+    res.instructions += r.instructions;
+    res.simt_cycles += r.simt_cycles;
+    res.sanitizer_reports_dropped += r.reports_dropped;
+    if (r.status != LaunchStatus::Ok) {
+      res.status = r.status;
+      res.deadlock_pc = r.deadlock_pc;
+      res.deadlock_site = r.deadlock_site;
+      break;
+    }
+  }
   if (sanitize) {
     std::size_t total = 0;
-    for (const auto& v : block_reports) total += v.size();
+    for (std::uint32_t b = 0; b < end; ++b) total += block_reports[b].size();
     res.sanitizer_reports.reserve(total);
-    for (const auto& v : block_reports)
-      res.sanitizer_reports.insert(res.sanitizer_reports.end(), v.begin(), v.end());
-    res.sanitizer_reports_dropped = reports_dropped.load();
+    for (std::uint32_t b = 0; b < end; ++b)
+      res.sanitizer_reports.insert(res.sanitizer_reports.end(), block_reports[b].begin(),
+                                   block_reports[b].end());
   }
-  res.cycles = cycles.load();
-  res.loop_cycles = loop_cycles.load();
-  res.instructions = instructions.load();
-  res.simt_cycles = simt_cycles.load();
   res.threads = cfg.total_threads();
   // Per-correction scrub write-back: charged flat per corrected codeword
   // (the per-access check/encode cost is already folded into the plan's

@@ -148,15 +148,14 @@ struct LaunchResult {
   /// CrashBarrierDeadlock diagnostics (any engine): the pc of the barrier
   /// the waiting threads were stuck at and its dense sanitizer site id
   /// (kir::DecodedProgram::sanitizer_sites); -1 when the launch did not
-  /// deadlock.  With multiple launch workers the fields come from the block
-  /// whose failure won the status race, same as `status` itself.
+  /// deadlock.  Like `status`, they come from the lowest-index failing
+  /// block (see Device::launch), whatever the worker count.
   std::int64_t deadlock_pc = -1;
   std::int64_t deadlock_site = -1;
 
   /// ExecEngine::Sanitizer findings, concatenated per block in block order
-  /// (deterministic and worker-count-invariant for crash-free launches and
-  /// for single-worker launches, the campaign configuration).  Always empty
-  /// on the other engines.
+  /// up to the reported failing block (deterministic and
+  /// worker-count-invariant).  Always empty on the other engines.
   std::vector<SanitizerReport> sanitizer_reports;
   /// Reports suppressed by the per-block cap (SharedShadow::kMaxReportsPerBlock).
   std::uint64_t sanitizer_reports_dropped = 0;
@@ -234,7 +233,13 @@ class Device {
   void reset_memory() { mem_->reset(); }
 
   /// Execute a kernel.  Deterministic: result (including cycle counts) is
-  /// independent of worker scheduling.
+  /// independent of worker scheduling.  A failing launch reports the
+  /// lowest-index failing block's status and deadlock site, and
+  /// cycles/loop_cycles/instructions/simt_cycles/sdc_alarm summed over the
+  /// blocks up to and including it — exactly the max_workers = 1 result.
+  /// What the other workers' in-flight higher blocks did is unspecified:
+  /// the memory image, instr_exec_counts and ecc_corrected (with its scrub
+  /// charge) of a failed multi-worker launch may include their effects.
   LaunchResult launch(const kir::BytecodeProgram& program, const LaunchConfig& cfg,
                       std::span<const kir::Value> args, const LaunchOptions& opts = {});
 

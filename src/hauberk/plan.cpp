@@ -5,6 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/bitops.hpp"
 #include "hauberk/passes/pass_manager.hpp"
 
 namespace hauberk::core {
@@ -292,11 +293,9 @@ HardeningPlan load_plan(const std::string& path) {
 
 std::uint64_t plan_digest(const HardeningPlan& plan) noexcept {
   if (plan.trivial()) return 0;  // plan-free campaign digests must not move
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a
-  for (const char c : serialize_plan(plan)) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
+  const std::string text = serialize_plan(plan);
+  const std::uint64_t h =
+      common::Fnv1a(common::Fnv1a::kLegacyBasis).bytes(text.data(), text.size()).value();
   return h ? h : 1;
 }
 

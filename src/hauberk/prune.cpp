@@ -5,6 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/bitops.hpp"
 #include "kir/analysis.hpp"
 #include "kir/analysis_manager.hpp"
 #include "kir/defuse.hpp"
@@ -328,11 +329,9 @@ PruningPlan load_pruning_plan(const std::string& path) {
 
 std::uint64_t pruning_plan_digest(const PruningPlan& plan) noexcept {
   if (plan.trivial()) return 0;  // prune-free campaign digests must not move
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a
-  for (const char c : serialize_pruning_plan(plan)) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
+  const std::string text = serialize_pruning_plan(plan);
+  const std::uint64_t h =
+      common::Fnv1a(common::Fnv1a::kLegacyBasis).bytes(text.data(), text.size()).value();
   return h ? h : 1;
 }
 

@@ -162,47 +162,53 @@ std::string disassemble(const BytecodeProgram& p);
 // jump targets, execution-count profiles, and SIMT cost vectors carry over
 // unchanged, and a mid-kernel crash happens at the same pc with the same
 // partial side effects as the reference engine.
+//
+// The opcode set is an X-macro master list built from sublists, so each
+// consumer expands exactly the groups it needs: DecodedOp and the threaded
+// engine's single-op block take all of them (in this order, which fixes
+// the numbering), and the threaded engine's run interiors and
+// gpusim/device.cpp's opcode semantics table split it into the ops that may
+// run inside a straight-line run and the rest.
+#define HAUBERK_DOP_BASIC(X) X(Nop) X(Const) X(Mov) X(Builtin) X(Select)
+/// Unary, type-resolved.  I2F/P2F are CastF32 of a signed i32 / unsigned
+/// ptr word, F2I is CastI32 of an f32 (saturating, NaN -> 0), CopyA an
+/// identity cast; UnGeneric unpacks aux and calls the reference evaluator.
+#define HAUBERK_DOP_UNARY(X) \
+  X(NegF) X(NegI) X(NotF) X(NotW) X(BitNot) X(AbsF) X(AbsI) \
+  X(SqrtF) X(RsqrtF) X(ExpF) X(LogF) X(SinF) X(CosF) X(FloorF) \
+  X(I2F) X(P2F) X(F2I) X(CopyA) X(UnGeneric)
+/// Binary, type-resolved.  W = bitwise-identical for i32 and ptr.
+#define HAUBERK_DOP_BINARY(X) \
+  X(AddF) X(SubF) X(MulF) X(DivF) X(MinF) X(MaxF) \
+  X(LtF) X(LeF) X(GtF) X(GeF) X(EqF) X(NeF) \
+  X(AddW) X(SubW) X(MulW) \
+  X(DivI) X(ModI) X(DivU) X(ModU) \
+  X(MinI) X(MaxI) X(MinU) X(MaxU) \
+  X(LtI) X(LeI) X(GtI) X(GeI) \
+  X(LtU) X(LeU) X(GtU) X(GeU) \
+  X(EqW) X(NeW) \
+  X(AndB) X(OrB) X(XorB) X(ShlB) X(ShrL) X(ShrA) \
+  X(LAndW) X(LOrW) X(BinGeneric)
+#define HAUBERK_DOP_MEMORY(X) \
+  X(LoadG) X(StoreG) X(LoadS) X(StoreS) X(AtomicAddF) X(AtomicAddI)
+#define HAUBERK_DOP_CONTROL(X) X(Jmp) X(Jz) X(Barrier) X(Halt)
+/// Hauberk runtime / profiler / FI library calls.
+#define HAUBERK_DOP_DETECTOR(X) \
+  X(ChkXor) X(ChkValidate) X(DupCmp) X(RangeCheck) X(EqualCheck) \
+  X(ProfileVal) X(CountExec) X(FIHook)
+/// Every op that may execute inside a straight-line run: all but control
+/// transfer and Invalid (an undecodable encoding, i.e. a code-segment fault).
+#define HAUBERK_DOP_STRAIGHT(X) \
+  HAUBERK_DOP_BASIC(X) HAUBERK_DOP_UNARY(X) HAUBERK_DOP_BINARY(X) \
+  HAUBERK_DOP_MEMORY(X) HAUBERK_DOP_DETECTOR(X)
+#define HAUBERK_DOP_LIST(X) \
+  HAUBERK_DOP_BASIC(X) HAUBERK_DOP_UNARY(X) HAUBERK_DOP_BINARY(X) \
+  HAUBERK_DOP_MEMORY(X) HAUBERK_DOP_CONTROL(X) HAUBERK_DOP_DETECTOR(X) X(Invalid)
+
 enum class DecodedOp : std::uint8_t {
-  Nop = 0,
-  Const,     ///< dst <- imm
-  Mov,       ///< dst <- a
-  Builtin,   ///< dst <- builtin(aux)
-  Select,    ///< dst <- a ? b : slot(imm)
-
-  // Unary, type-resolved.
-  NegF, NegI, NotF, NotW, BitNot, AbsF, AbsI,
-  SqrtF, RsqrtF, ExpF, LogF, SinF, CosF, FloorF,
-  I2F,       ///< CastF32 of a signed i32
-  P2F,       ///< CastF32 of an unsigned ptr word
-  F2I,       ///< CastI32 of an f32 (saturating, NaN -> 0)
-  CopyA,     ///< identity cast: dst <- a
-  UnGeneric, ///< anything else: unpack aux, call the reference evaluator
-
-  // Binary, type-resolved.  W = bitwise-identical for i32 and ptr.
-  AddF, SubF, MulF, DivF, MinF, MaxF,
-  LtF, LeF, GtF, GeF, EqF, NeF,
-  AddW, SubW, MulW,
-  DivI, ModI, DivU, ModU,
-  MinI, MaxI, MinU, MaxU,
-  LtI, LeI, GtI, GeI,
-  LtU, LeU, GtU, GeU,
-  EqW, NeW,
-  AndB, OrB, XorB, ShlB, ShrL, ShrA,
-  LAndW, LOrW,
-  BinGeneric,
-
-  // Memory.
-  LoadG, StoreG, LoadS, StoreS,
-  AtomicAddF, AtomicAddI,
-
-  // Control.
-  Jmp, Jz, Barrier, Halt,
-
-  // Hauberk runtime / profiler / FI library calls.
-  ChkXor, ChkValidate, DupCmp, RangeCheck, EqualCheck,
-  ProfileVal, CountExec, FIHook,
-
-  Invalid,   ///< undecodable encoding (code-segment fault)
+#define HAUBERK_DOP_E(n) n,
+  HAUBERK_DOP_LIST(HAUBERK_DOP_E)
+#undef HAUBERK_DOP_E
 };
 
 /// One predecoded instruction (24 bytes).  `cost`/`loop_cost` are the

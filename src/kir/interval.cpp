@@ -9,6 +9,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/bitops.hpp"
+
 namespace hauberk::kir {
 
 namespace {
@@ -98,25 +100,12 @@ ValInterval widen(const ValInterval& prev, const ValInterval& next, DType t) noe
 }
 
 std::uint64_t IntervalEnv::digest() const noexcept {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  };
-  mix(block_x);
-  mix(block_y);
-  mix(grid_x);
-  mix(grid_y);
-  mix(shared_words);
-  mix(global_words);
-  mix(params.size());
-  for (const auto& p : params) {
-    mix(std::bit_cast<std::uint64_t>(p.lo));
-    mix(std::bit_cast<std::uint64_t>(p.hi));
-  }
-  return h;
+  common::Fnv1a f(common::Fnv1a::kLegacyBasis);
+  f.u64(block_x).u64(block_y).u64(grid_x).u64(grid_y);
+  f.u64(shared_words).u64(global_words).u64(params.size());
+  for (const auto& p : params)
+    f.u64(std::bit_cast<std::uint64_t>(p.lo)).u64(std::bit_cast<std::uint64_t>(p.hi));
+  return f.value();
 }
 
 const char* access_kind_name(AccessKind k) noexcept {

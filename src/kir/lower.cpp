@@ -2,6 +2,7 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "common/bitops.hpp"
 #include "kir/bytecode.hpp"
 
 namespace hauberk::kir {
@@ -476,30 +477,16 @@ std::string disassemble(const BytecodeProgram& p) {
 
 namespace {
 
-struct Fnv {
-  std::uint64_t h = 1469598103934665603ull;
-  void bytes(const void* p, std::size_t n) noexcept {
-    const auto* c = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= c[i];
-      h *= 1099511628211ull;
-    }
-  }
-  template <typename T>
-  void pod(T v) noexcept {
-    bytes(&v, sizeof v);
-  }
-  void str(const std::string& s) noexcept {
-    pod<std::uint32_t>(static_cast<std::uint32_t>(s.size()));
-    bytes(s.data(), s.size());
-  }
-};
+/// Names are length-prefixed with a 32-bit count in this digest.
+void digest_str(common::Fnv1a& f, const std::string& s) noexcept {
+  f.pod(static_cast<std::uint32_t>(s.size())).bytes(s.data(), s.size());
+}
 
 }  // namespace
 
 std::uint64_t program_digest(const BytecodeProgram& p) noexcept {
-  Fnv f;
-  f.str(p.name);
+  common::Fnv1a f(common::Fnv1a::kLegacyBasis);
+  digest_str(f, p.name);
   f.pod(p.num_params);
   f.pod(p.num_named);
   f.pod(p.num_slots);
@@ -525,16 +512,16 @@ std::uint64_t program_digest(const BytecodeProgram& p) noexcept {
     f.pod(static_cast<std::uint8_t>(s.hw));
     f.pod(static_cast<std::uint8_t>(s.in_loop));
     f.pod(static_cast<std::uint8_t>(s.dead_window));
-    f.str(s.var_name);
+    digest_str(f, s.var_name);
   }
   f.pod<std::uint32_t>(static_cast<std::uint32_t>(p.detectors.size()));
   for (const auto& d : p.detectors) {
     f.pod(d.id);
-    f.str(d.name);
+    digest_str(f, d.name);
     f.pod(static_cast<std::uint8_t>(d.value_type));
     f.pod(static_cast<std::uint8_t>(d.is_iteration_check));
   }
-  return f.h;
+  return f.value();
 }
 
 }  // namespace hauberk::kir

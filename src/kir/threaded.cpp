@@ -132,7 +132,7 @@ constexpr TOp naked_top(DecodedOp k) noexcept {
   switch (k) {
 #define HAUBERK_TOP_M(n) \
   case DecodedOp::n: return TOp::Nk_##n;
-    HAUBERK_TOP_NAKED_LIST(HAUBERK_TOP_M)
+    HAUBERK_DOP_STRAIGHT(HAUBERK_TOP_M)
 #undef HAUBERK_TOP_M
     default: return TOp::Invalid;
   }
@@ -285,7 +285,7 @@ const char* top_name(TOp op) noexcept {
   switch (op) {
 #define HAUBERK_TOP_M(n) \
   case TOp::n: return #n;
-    HAUBERK_TOP_SINGLE_LIST(HAUBERK_TOP_M)
+    HAUBERK_DOP_LIST(HAUBERK_TOP_M)
 #undef HAUBERK_TOP_M
 #define HAUBERK_TOP_M(n)                       \
   case TOp::CmpJz_##n: return "CmpJz_" #n;     \
@@ -306,7 +306,7 @@ const char* top_name(TOp op) noexcept {
     case TOp::RunHead: return "RunHead";
 #define HAUBERK_TOP_M(n) \
   case TOp::Nk_##n: return "Nk_" #n;
-    HAUBERK_TOP_NAKED_LIST(HAUBERK_TOP_M)
+    HAUBERK_DOP_STRAIGHT(HAUBERK_TOP_M)
 #undef HAUBERK_TOP_M
 #define HAUBERK_TOP_M(n)                               \
   case TOp::NkConstBin_##n: return "NkConstBin_" #n;   \

@@ -9,7 +9,7 @@
 // remaining headroom:
 //
 //  * `TOp` is the threaded opcode set: every DecodedOp has a 1:1 single-op
-//    entry (same numeric value — see the static_asserts below), plus fused
+//    entry (same numeric value — both expand one master list), plus fused
 //    *superinstructions* for the idioms the lowering actually emits per loop
 //    iteration (Const/compare/Jz loop heads, Const/add/Jmp back-edges,
 //    load-op-store global accumulates, and the Hauberk detector sequences
@@ -53,30 +53,11 @@
 
 namespace hauberk::kir {
 
-// Master opcode lists.  HAUBERK_TOP_SINGLE_LIST mirrors DecodedOp entry for
-// entry (pinned by static_asserts); the CMP/ALU lists are the operator
-// families eligible for fusion — none of them can crash, which is what lets
-// fused handlers charge their summed cost after one up-front check.
-#define HAUBERK_TOP_SINGLE_LIST(X) \
-  X(Nop) X(Const) X(Mov) X(Builtin) X(Select) \
-  X(NegF) X(NegI) X(NotF) X(NotW) X(BitNot) X(AbsF) X(AbsI) \
-  X(SqrtF) X(RsqrtF) X(ExpF) X(LogF) X(SinF) X(CosF) X(FloorF) \
-  X(I2F) X(P2F) X(F2I) X(CopyA) X(UnGeneric) \
-  X(AddF) X(SubF) X(MulF) X(DivF) X(MinF) X(MaxF) \
-  X(LtF) X(LeF) X(GtF) X(GeF) X(EqF) X(NeF) \
-  X(AddW) X(SubW) X(MulW) \
-  X(DivI) X(ModI) X(DivU) X(ModU) \
-  X(MinI) X(MaxI) X(MinU) X(MaxU) \
-  X(LtI) X(LeI) X(GtI) X(GeI) \
-  X(LtU) X(LeU) X(GtU) X(GeU) \
-  X(EqW) X(NeW) \
-  X(AndB) X(OrB) X(XorB) X(ShlB) X(ShrL) X(ShrA) \
-  X(LAndW) X(LOrW) X(BinGeneric) \
-  X(LoadG) X(StoreG) X(LoadS) X(StoreS) X(AtomicAddF) X(AtomicAddI) \
-  X(Jmp) X(Jz) X(Barrier) X(Halt) \
-  X(ChkXor) X(ChkValidate) X(DupCmp) X(RangeCheck) X(EqualCheck) \
-  X(ProfileVal) X(CountExec) X(FIHook) \
-  X(Invalid)
+// Fusion operator lists.  The single-op and naked blocks of TOp expand
+// bytecode.hpp's DecodedOp master list (all of it, and HAUBERK_DOP_STRAIGHT
+// respectively); the CMP/ALU lists are the operator families eligible for
+// fusion — none of them can crash, which is what lets fused handlers charge
+// their summed cost after one up-front check.
 
 /// Comparison operators fusable with a following Jz (loop heads, while
 /// conditions, compare-branch tails).
@@ -117,32 +98,10 @@ namespace hauberk::kir {
   HAUBERK_TOP_ALU_PAIR_ROW(X, ShrA)     \
   HAUBERK_TOP_ALU_PAIR_ROW(X, LAndW)
 
-/// Ops that may appear *inside* a straight-line run: every single except
-/// control transfer (Jmp/Jz/Barrier/Halt) and Invalid.  Their naked (`Nk_`)
-/// variants execute with no budget test, no cost charge and no instruction
-/// count — the RunHead already accounted for the whole region.
-#define HAUBERK_TOP_NAKED_LIST(X) \
-  X(Nop) X(Const) X(Mov) X(Builtin) X(Select) \
-  X(NegF) X(NegI) X(NotF) X(NotW) X(BitNot) X(AbsF) X(AbsI) \
-  X(SqrtF) X(RsqrtF) X(ExpF) X(LogF) X(SinF) X(CosF) X(FloorF) \
-  X(I2F) X(P2F) X(F2I) X(CopyA) X(UnGeneric) \
-  X(AddF) X(SubF) X(MulF) X(DivF) X(MinF) X(MaxF) \
-  X(LtF) X(LeF) X(GtF) X(GeF) X(EqF) X(NeF) \
-  X(AddW) X(SubW) X(MulW) \
-  X(DivI) X(ModI) X(DivU) X(ModU) \
-  X(MinI) X(MaxI) X(MinU) X(MaxU) \
-  X(LtI) X(LeI) X(GtI) X(GeI) \
-  X(LtU) X(LeU) X(GtU) X(GeU) \
-  X(EqW) X(NeW) \
-  X(AndB) X(OrB) X(XorB) X(ShlB) X(ShrL) X(ShrA) \
-  X(LAndW) X(LOrW) X(BinGeneric) \
-  X(LoadG) X(StoreG) X(LoadS) X(StoreS) X(AtomicAddF) X(AtomicAddI) \
-  X(ChkXor) X(ChkValidate) X(DupCmp) X(RangeCheck) X(EqualCheck) \
-  X(ProfileVal) X(CountExec) X(FIHook)
-
 enum class TOp : std::uint16_t {
+  // --- singles: every DecodedOp, same numeric value ---
 #define HAUBERK_TOP_E(n) n,
-  HAUBERK_TOP_SINGLE_LIST(HAUBERK_TOP_E)
+  HAUBERK_DOP_LIST(HAUBERK_TOP_E)
 #undef HAUBERK_TOP_E
 
   // --- fused superinstructions (always >= FusedBegin) ---
@@ -169,8 +128,11 @@ enum class TOp : std::uint16_t {
   // the suffix charge to refund in their (otherwise unused)
   // cost/loop_cost/len fields.
   RunHead,
+  // Naked singles: every op that may appear inside a run.  They execute
+  // with no budget test, no cost charge and no instruction count — the
+  // RunHead already accounted for the whole region.
 #define HAUBERK_TOP_E(n) Nk_##n,
-  HAUBERK_TOP_NAKED_LIST(HAUBERK_TOP_E)
+  HAUBERK_DOP_STRAIGHT(HAUBERK_TOP_E)
 #undef HAUBERK_TOP_E
 #define HAUBERK_TOP_E(n) NkConstBin_##n, NkBinChkXor_##n, NkBinDupCmp_##n,
   HAUBERK_TOP_ALU_LIST(HAUBERK_TOP_E)
@@ -194,20 +156,13 @@ inline constexpr std::uint16_t kTOpFusedBegin =
     static_cast<std::uint16_t>(TOp::Invalid) + 1;
 inline constexpr std::size_t kNumTOps = static_cast<std::size_t>(TOp::Count_);
 
-// Pin the single-op block to DecodedOp, value for value: the interpreter
-// casts between them and the decode-completeness test walks the mirror.
-#define HAUBERK_TOP_CHECK(n) \
-  static_assert(static_cast<unsigned>(TOp::n) == static_cast<unsigned>(DecodedOp::n));
-HAUBERK_TOP_SINGLE_LIST(HAUBERK_TOP_CHECK)
-#undef HAUBERK_TOP_CHECK
-
 [[nodiscard]] constexpr bool top_is_fused(TOp op) noexcept {
   return static_cast<std::uint16_t>(op) >= kTOpFusedBegin &&
          op != TOp::Count_;
 }
 
-/// The single-op TOp for a DecodedOp (the identity mapping the
-/// static_asserts above pin down).  DecodedOp::Invalid maps to TOp::Invalid,
+/// The single-op TOp for a DecodedOp (the identity mapping: both blocks
+/// expand the same master list).  DecodedOp::Invalid maps to TOp::Invalid,
 /// which the interpreter reports as a code-segment crash.
 [[nodiscard]] constexpr TOp threaded_single_op(DecodedOp op) noexcept {
   return static_cast<TOp>(static_cast<std::uint8_t>(op));

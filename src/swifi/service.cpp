@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "common/bitops.hpp"
 #include "common/worker_pool.hpp"
 #include "hauberk/checkpoint.hpp"
 #include "swifi/resultlog.hpp"
@@ -11,20 +12,6 @@
 namespace hauberk::swifi {
 
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void fnv(std::uint64_t& h, std::uint64_t v) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= kFnvPrime;
-  }
-}
-
-void fnv_f64(std::uint64_t& h, double v) noexcept {
-  fnv(h, std::bit_cast<std::uint64_t>(v));
-}
 
 /// The outcome counters in checkpoint order (v2 appended the two ECC ones).
 constexpr std::uint64_t OutcomeCounts::*kCountFields[] = {
@@ -43,44 +30,28 @@ std::uint64_t campaign_digest(const kir::BytecodeProgram& program,
                               gpusim::ecc::Scheme protection,
                               std::uint64_t plan_digest,
                               std::uint64_t prune_digest) {
-  std::uint64_t h = kFnvOffset;
-  fnv(h, kir::program_digest(program));
-  fnv(h, specs.size());
+  common::Fnv1a f(common::Fnv1a::kLegacyBasis);
+  f.u64(kir::program_digest(program)).u64(specs.size());
   for (const FaultSpec& s : specs) {
-    fnv(h, s.site_id);
-    fnv(h, s.thread);
-    fnv(h, s.occurrence);
-    fnv(h, s.mask);
-    fnv(h, static_cast<std::uint64_t>(s.var));
-    fnv(h, static_cast<std::uint64_t>(s.type));
-    fnv(h, static_cast<std::uint64_t>(s.hw));
+    f.u64(s.site_id).u64(s.thread).u64(s.occurrence).u64(s.mask);
+    f.u64(static_cast<std::uint64_t>(s.var));
+    f.u64(static_cast<std::uint64_t>(s.type));
+    f.u64(static_cast<std::uint64_t>(s.hw));
   }
-  fnv(h, static_cast<std::uint64_t>(req.kind));
-  fnv_f64(h, req.abs_floor);
-  fnv_f64(h, req.rel);
-  fnv_f64(h, req.eps);
-  fnv_f64(h, req.global_rel);
-  fnv_f64(h, req.pixel_delta);
-  fnv_f64(h, req.frac);
-  fnv(h, remark_digest);
+  f.u64(static_cast<std::uint64_t>(req.kind));
+  for (const double v : {req.abs_floor, req.rel, req.eps, req.global_rel, req.pixel_delta, req.frac})
+    f.u64(std::bit_cast<std::uint64_t>(v));
+  f.u64(remark_digest);
   // Folded only when protection is on: the None digest must stay what it was
   // before protected mode existed, so pre-ECC checkpoints keep validating.
-  if (protection != gpusim::ecc::Scheme::None) {
-    fnv(h, 0xECCull);
-    fnv(h, static_cast<std::uint64_t>(protection));
-  }
+  if (protection != gpusim::ecc::Scheme::None)
+    f.u64(0xECCull).u64(static_cast<std::uint64_t>(protection));
   // Same arrangement for hardening plans: the trivial plan's digest is 0 and
   // contributes nothing, so plan-free campaigns keep their historic digests.
-  if (plan_digest != 0) {
-    fnv(h, 0x504Cull);
-    fnv(h, plan_digest);
-  }
+  if (plan_digest != 0) f.u64(0x504Cull).u64(plan_digest);
   // And for pruning plans: unpruned campaigns keep their historic digests.
-  if (prune_digest != 0) {
-    fnv(h, 0x5052ull);
-    fnv(h, prune_digest);
-  }
-  return h;
+  if (prune_digest != 0) f.u64(0x5052ull).u64(prune_digest);
+  return f.value();
 }
 
 void CampaignCheckpoint::save(const std::string& path) const {

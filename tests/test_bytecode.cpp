@@ -82,10 +82,15 @@ TEST_P(FloatBinOps, MatchesHostArithmeticBitExactly) {
     EXPECT_EQ(r.bits, Value::f32(expect).bits);
 }
 
-// gtest names each case after the raw bytes of its parameter, padding
-// included.  Cases built as temporaries carried stack garbage in their
-// padding, so the names changed from run to run; a table with static
-// storage is zero-initialised, padding too, and prints the same every time.
+// gtest names each case after its printed parameter.  Print the operator
+// and operands: the default printer dumps the raw bytes, which include the
+// reference function's address and so change with every process start.
+void PrintTo(const FloatBinCase& c, std::ostream* os) {
+  constexpr const char* kNames[] = {"Add", "Sub", "Mul", "Div", "Mod", "Min", "Max"};
+  const auto op = static_cast<std::size_t>(c.op);
+  *os << (op < std::size(kNames) ? kNames[op] : "BinOp") << '(' << c.a << ", " << c.b << ')';
+}
+
 constexpr FloatBinCase kFloatBinCases[] = {
         FloatBinCase{BinOp::Add, 1.5f, 2.25f, [](float a, float b) { return a + b; }},
         FloatBinCase{BinOp::Add, 1e30f, 1e30f, [](float a, float b) { return a + b; }},

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 
 #include "gpusim/device.hpp"
 #include "kir/builder.hpp"
@@ -304,6 +305,83 @@ TEST(Exec, AtomicAddAccumulatesAcrossBlocks) {
   std::uint32_t result = 0;
   dev.mem().copy_out(oa, std::span<std::uint32_t>(&result, 1));
   EXPECT_EQ(result, 16u * 32u);
+}
+
+// --- multi-worker launches ---
+//
+// Block 0 works for a while and then fails; every other block goes out of
+// bounds at once, so with several workers a higher block fails first in
+// wall-clock time.  The launch must still report block 0's failure and the
+// totals of block 0 alone, exactly like a single-worker launch.
+
+namespace {
+
+/// Emits block 0's slow failure, then the instant out-of-bounds store of
+/// every other block.
+BytecodeProgram slow_block0_failure(KernelBuilder& kb,
+                                    const std::function<void()>& block0) {
+  kb.if_then_else(kb.bid_x() == i32c(0), block0, [&] {
+    kb.store(ExprH(Expr::make_const(Value::ptr(0xffff0000u))), i32c(1));
+  });
+  return lower(kb.build());
+}
+
+void expect_failure_matches_single_worker(const BytecodeProgram& prog, const LaunchConfig& cfg,
+                                          std::span<const Value> args, LaunchStatus expect) {
+  Device dev(small_props());
+  LaunchOptions one;
+  one.max_workers = 1;
+  const LaunchResult ref = dev.launch(prog, cfg, args, one);
+  ASSERT_EQ(ref.status, expect);
+
+  LaunchOptions four;
+  four.max_workers = 4;
+  for (int rep = 0; rep < 5; ++rep) {
+    const LaunchResult r = dev.launch(prog, cfg, args, four);
+    EXPECT_EQ(r.status, ref.status) << "rep " << rep;
+    EXPECT_EQ(r.cycles, ref.cycles) << "rep " << rep;
+    EXPECT_EQ(r.loop_cycles, ref.loop_cycles) << "rep " << rep;
+    EXPECT_EQ(r.instructions, ref.instructions) << "rep " << rep;
+    EXPECT_EQ(r.simt_cycles, ref.simt_cycles) << "rep " << rep;
+    EXPECT_EQ(r.sdc_alarm, ref.sdc_alarm) << "rep " << rep;
+    EXPECT_EQ(r.deadlock_pc, ref.deadlock_pc) << "rep " << rep;
+    EXPECT_EQ(r.deadlock_site, ref.deadlock_site) << "rep " << rep;
+  }
+}
+
+}  // namespace
+
+TEST(MultiWorkerLaunch, CrashMatchesSingleWorker) {
+  KernelBuilder kb("slow_div0");
+  auto out = kb.param_ptr("out");
+  auto n = kb.param_i32("n");
+  auto zero = kb.param_i32("zero");
+  const auto prog = slow_block0_failure(kb, [&] {
+    auto acc = kb.let("acc", i32c(0));
+    kb.for_loop("i", i32c(0), n, [&](ExprH i) { kb.assign(acc, acc + i); });
+    kb.store(out, acc / zero);
+  });
+  const Value args[] = {Value::ptr(0), Value::i32(2'000'000), Value::i32(0)};
+  expect_failure_matches_single_worker(prog, LaunchConfig{4, 1, 1, 1}, args,
+                                       LaunchStatus::CrashDivByZero);
+}
+
+TEST(MultiWorkerLaunch, BarrierDeadlockMatchesSingleWorker) {
+  // Block 0: thread 0 loops and exits, thread 1 waits at a barrier.
+  KernelBuilder kb("slow_deadlock");
+  auto n = kb.param_i32("n");
+  const auto prog = slow_block0_failure(kb, [&] {
+    kb.if_then_else(
+        kb.tid_x() == i32c(0),
+        [&] {
+          auto acc = kb.let("acc", i32c(0));
+          kb.for_loop("i", i32c(0), n, [&](ExprH i) { kb.assign(acc, acc + i); });
+        },
+        [&] { kb.barrier(); });
+  });
+  const Value args[] = {Value::i32(2'000'000)};
+  expect_failure_matches_single_worker(prog, LaunchConfig{4, 1, 2, 1}, args,
+                                       LaunchStatus::CrashBarrierDeadlock);
 }
 
 // --- cost model / attribution ---
