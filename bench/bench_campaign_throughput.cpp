@@ -1,8 +1,5 @@
 // Campaign-engine throughput: trials/second of the sequential run_campaign
-// baseline versus the parallel CampaignExecutor at increasing worker counts,
-// plus the effect of the device's launch-plan cache (spill analysis and the
-// per-instruction cost vector are computed once per program instead of once
-// per launch).
+// baseline versus the parallel CampaignExecutor at increasing worker counts.
 //
 // The worker sweep reports speedup relative to the sequential baseline; on a
 // single-core host the parallel engine matches the baseline (within pool
@@ -11,7 +8,7 @@
 //
 // Knobs: --program (default CP), --vars (default 16), --masks (default 8),
 // --workers-list=1,2,4,0 (0 = hardware concurrency), --sanitize (run the
-// baseline/executor/cache campaigns under the sanitizer engine — measures
+// baseline/executor campaigns under the sanitizer engine — measures
 // the shadow's overhead; the engine-sweep rows stay unsanitized and their
 // outcome comparison is skipped, since sanitized trials may legitimately
 // reclassify), --engine=reference|fast|sanitizer|threaded (engine for the
@@ -100,7 +97,7 @@ int main(int argc, char** argv) {
               specs.size(), common::WorkerPool::default_workers(),
               sanitize ? ", sanitizer ON" : "");
 
-  // Sequential baseline: run_campaign on one device (launch-plan cache on).
+  // Sequential baseline: run_campaign on one device.
   swifi::CampaignResult base_res;
   const double base_s = seconds([&] {
     base_res = swifi::run_campaign(*ctx.device, ctx.variants.fift, *ctx.job, ctx.cb.get(),
@@ -211,7 +208,7 @@ int main(int argc, char** argv) {
       et.add_row({en, common::Table::num(s, 3), common::Table::num(n / s, 1),
                   common::Table::num(engine_s["reference"] / s, 2) + "x"});
     }
-    std::printf("\nsequential campaign per engine (plan cache on):\n");
+    std::printf("\nsequential campaign per engine:\n");
     et.print();
     std::printf("threaded vs fast: %.2fx trials/sec\n",
                 engine_s["fast"] / engine_s["threaded"]);
@@ -271,24 +268,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(rep.analysis_cache.hits),
                 static_cast<unsigned long long>(rep.analysis_cache.misses),
                 100.0 * rep.analysis_cache.hit_rate());
-  }
-
-  // Launch-plan cache ablation: same sequential campaign with the cache off.
-  {
-    gpusim::Device cold(props);
-    cold.set_plan_cache_enabled(false);
-    auto job = ctx.workload->make_job(ctx.dataset);
-    swifi::CampaignResult res;
-    const double cold_s = seconds([&] {
-      res = swifi::run_campaign(cold, ctx.variants.fift, *job, ctx.cb.get(), specs,
-                                ctx.workload->requirement(), cfg);
-    });
-    deterministic = deterministic && same_outcomes(base_res, res);
-    std::printf("\nlaunch-plan cache: on %.3fs (hits %llu, misses %llu) vs off %.3fs "
-                "-> %.2fx, outcomes %s\n",
-                base_s, static_cast<unsigned long long>(ctx.device->plan_cache_hits()),
-                static_cast<unsigned long long>(ctx.device->plan_cache_misses()), cold_s,
-                cold_s / base_s, same_outcomes(base_res, res) ? "identical" : "MISMATCH");
   }
 
   if (!json_path.empty()) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -65,13 +66,12 @@ void Device::clear_fault() {
 
 namespace {
 
-/// A failed DeviceMemory load/store/rmw is either an invalid address or —
-/// under protection — an uncorrectable ECC error; the thread-local flag the
-/// failing path sets tells which, and the distinction becomes the launch
-/// status (crash-oob vs the machine-check analog).
-inline LaunchStatus mem_fail_status() noexcept {
-  return DeviceMemory::last_fault_uncorrectable() ? LaunchStatus::EccUncorrectable
-                                                  : LaunchStatus::CrashOutOfBounds;
+/// The launch status of a failed DeviceMemory load/store/rmw: crash-oob for
+/// an invalid address, the machine-check analog for an uncorrectable ECC
+/// error.
+constexpr LaunchStatus crash_status_of(MemAccess r) noexcept {
+  return r == MemAccess::EccUncorrectable ? LaunchStatus::EccUncorrectable
+                                          : LaunchStatus::CrashOutOfBounds;
 }
 
 constexpr std::uint32_t aux_op(std::uint32_t aux) noexcept { return aux & 0xffffu; }
@@ -304,8 +304,8 @@ std::uint32_t eval_un(UnOp op, DType t, std::uint32_t a) noexcept {
     if (gmem) {                                                             \
       if (ga_ >= gsize) OP_CRASH(LaunchStatus::CrashOutOfBounds);           \
       (DST) = gmem[ga_];                                                    \
-    } else if (!mem.load(ga_, (DST))) {                                     \
-      OP_CRASH(mem_fail_status());                                          \
+    } else if (const MemAccess r_ = mem.load(ga_, (DST)); r_ != MemAccess::Ok) { \
+      OP_CRASH(crash_status_of(r_));                                        \
     }                                                                       \
   }
 /// Atomic read-modify-write add; ADD is the op_ evaluator of the type.
@@ -316,8 +316,10 @@ std::uint32_t eval_un(UnOp op, DType t, std::uint32_t a) noexcept {
     if (addr >= gsize) OP_CRASH(LaunchStatus::CrashOutOfBounds);            \
     mem.note_store(addr);                                                   \
     gmem[addr] = ADD(gmem[addr], regs[in->b]);                              \
-  } else if (!mem.rmw(addr, [&](std::uint32_t w) { return ADD(w, regs[in->b]); })) { \
-    OP_CRASH(mem_fail_status());                                            \
+  } else if (const MemAccess r_ =                                           \
+                 mem.rmw(addr, [&](std::uint32_t w) { return ADD(w, regs[in->b]); }); \
+             r_ != MemAccess::Ok) {                                         \
+    OP_CRASH(crash_status_of(r_));                                          \
   }
 
 // clang-format off
@@ -405,8 +407,8 @@ std::uint32_t eval_un(UnOp op, DType t, std::uint32_t a) noexcept {
       if (addr >= gsize) OP_CRASH(LaunchStatus::CrashOutOfBounds);                      \
       gmem[addr] = regs[in->b];                                                         \
       mem.note_store(addr);                                                             \
-    } else if (!mem.store(addr, regs[in->b])) {                                         \
-      OP_CRASH(mem_fail_status());                                                      \
+    } else if (const MemAccess r_ = mem.store(addr, regs[in->b]); r_ != MemAccess::Ok) { \
+      OP_CRASH(crash_status_of(r_));                                                    \
     })                                                                                  \
   X(LoadS, DO,                                                                          \
     const std::uint32_t addr = regs[in->a];                                             \
@@ -677,15 +679,15 @@ ThreadStop BlockExec::run_thread(ThreadCtx& t, LaunchStatus& crash_status) {
         regs[in.dst] = regs[in.a] != 0 ? regs[in.b] : regs[static_cast<std::uint16_t>(in.imm)];
         break;
       case OpCode::LoadG:
-        if (!mem.load(regs[in.a], regs[in.dst])) {
-          crash_status = mem_fail_status();
+        if (const MemAccess r = mem.load(regs[in.a], regs[in.dst]); r != MemAccess::Ok) {
+          crash_status = crash_status_of(r);
           finish();
           return ThreadStop::Crash;
         }
         break;
       case OpCode::StoreG:
-        if (!mem.store(regs[in.a], regs[in.b])) {
-          crash_status = mem_fail_status();
+        if (const MemAccess r = mem.store(regs[in.a], regs[in.b]); r != MemAccess::Ok) {
+          crash_status = crash_status_of(r);
           finish();
           return ThreadStop::Crash;
         }
@@ -708,7 +710,7 @@ ThreadStop BlockExec::run_thread(ThreadCtx& t, LaunchStatus& crash_status) {
         break;
       case OpCode::AtomicAddG: {
         std::lock_guard<std::mutex> lk(dev_.atomic_mutex());
-        const bool ok =
+        const MemAccess r =
             aux_type(in.aux) == DType::F32
                 ? mem.rmw(regs[in.a],
                           [&](std::uint32_t w) { return fadd_bits(w, regs[in.b]); })
@@ -716,8 +718,8 @@ ThreadStop BlockExec::run_thread(ThreadCtx& t, LaunchStatus& crash_status) {
                     return i_bits(static_cast<std::int32_t>(
                         static_cast<std::int64_t>(as_i(w)) + as_i(regs[in.b])));
                   });
-        if (!ok) {
-          crash_status = mem_fail_status();
+        if (r != MemAccess::Ok) {
+          crash_status = crash_status_of(r);
           finish();
           return ThreadStop::Crash;
         }
@@ -1041,41 +1043,11 @@ ThreadStop BlockExec::run_thread_threaded(ThreadCtx& t, LaunchStatus& crash_stat
 
   const kir::ThreadedInstr* in = code;
 #if HAUBERK_COMPUTED_GOTO
-  // Label table in TOp order — generated from the same X-macro lists as the
-  // enum itself, so the two cannot drift.
+  // Label table in TOp order, expanded from the enum's own layout.
   static const void* const kLabels[] = {
-#define HAUBERK_TOP_L(n) &&lbl_##n,
-      HAUBERK_DOP_LIST(HAUBERK_TOP_L)
-#undef HAUBERK_TOP_L
-#define HAUBERK_TOP_L(n) &&lbl_CmpJz_##n, &&lbl_ConstCmpJz_##n,
-          HAUBERK_TOP_CMP_LIST(HAUBERK_TOP_L)
-#undef HAUBERK_TOP_L
-              && lbl_ConstAddJmp,
-      &&lbl_AddJmp,
-#define HAUBERK_TOP_L(n) \
-  &&lbl_ConstBin_##n, &&lbl_LoadBinStore_##n, &&lbl_BinChkXor_##n, &&lbl_BinDupCmp_##n,
-      HAUBERK_TOP_ALU_LIST(HAUBERK_TOP_L)
-#undef HAUBERK_TOP_L
-          && lbl_ChkXor2,
-      &&lbl_RangeCheck2,
-      &&lbl_RunHead,
-#define HAUBERK_TOP_L(n) &&lbl_Nk_##n,
-      HAUBERK_DOP_STRAIGHT(HAUBERK_TOP_L)
-#undef HAUBERK_TOP_L
-#define HAUBERK_TOP_L(n) &&lbl_NkConstBin_##n, &&lbl_NkBinChkXor_##n, &&lbl_NkBinDupCmp_##n,
-          HAUBERK_TOP_ALU_LIST(HAUBERK_TOP_L)
-#undef HAUBERK_TOP_L
-              && lbl_NkChkXor2,
-      &&lbl_NkRangeCheck2,
-#define HAUBERK_TOP_L(a, b) &&lbl_NkBinBin_##a##_##b,
-      HAUBERK_TOP_ALU_PAIR_LIST(HAUBERK_TOP_L)
-#undef HAUBERK_TOP_L
-#define HAUBERK_TOP_L(n) \
-  &&lbl_NkBinConst_##n, &&lbl_NkLoadBin_##n, &&lbl_NkBinLoad_##n, &&lbl_NkConstBinLoad_##n,
-          HAUBERK_TOP_ALU_LIST(HAUBERK_TOP_L)
-#undef HAUBERK_TOP_L
-              && lbl_NkConst2,
-      &&lbl_NkLoadConst,
+#define HAUBERK_TOP_X(n) &&lbl_##n,
+      HAUBERK_TOP_LAYOUT
+#undef HAUBERK_TOP_X
   };
   static_assert(sizeof(kLabels) / sizeof(kLabels[0]) == kir::kNumTOps);
   T_NEXT();
@@ -1414,94 +1386,39 @@ void BlockExec::finish_simt_cost() {
   }
 }
 
-/// Order-dependent 64-bit combiner for the launch-plan fingerprint.
-constexpr std::uint64_t fp_mix(std::uint64_t h, std::uint64_t v) noexcept {
-  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  h *= 0xbf58476d1ce4e5b9ULL;
-  return h ^ (h >> 29);
-}
-
-/// Fingerprint of everything the plan's contents depend on: the instruction
-/// stream, the slot count, the register budget, the cost model, and the
-/// engine kind (the threaded stream is only compiled for
-/// ExecEngine::Threaded, so flipping set_engine() on a live device must
-/// miss rather than serve a plan without it).  Hashed field-by-field (never
-/// raw struct bytes, which would include indeterminate padding).
-std::uint64_t plan_fingerprint(const kir::BytecodeProgram& program, const CostModel& cm,
-                               std::uint32_t regs_per_thread, ExecEngine engine,
-                               ecc::Scheme protection) noexcept {
-  std::uint64_t h = fp_mix(0x48415542ULL, program.code.size());
-  h = fp_mix(h, program.num_slots);
-  h = fp_mix(h, regs_per_thread);
-  h = fp_mix(h, static_cast<std::uint64_t>(engine));
-  // Protection folds ECC surcharges into the cost vector and switches the
-  // threaded compile off the flat-arena specializations; a plan built for
-  // one mode must never be served to the other.
-  h = fp_mix(h, static_cast<std::uint64_t>(protection));
-  for (const Instr& in : program.code) {
-    h = fp_mix(h, (static_cast<std::uint64_t>(in.op) << 56) |
-                      (static_cast<std::uint64_t>(in.flags) << 48) |
-                      (static_cast<std::uint64_t>(in.dst) << 32) |
-                      (static_cast<std::uint64_t>(in.a) << 16) | in.b);
-    h = fp_mix(h, (static_cast<std::uint64_t>(in.aux) << 32) | in.imm);
-  }
-  for (std::uint32_t v : {cm.alu, cm.fpu_addmul, cm.fpu_div, cm.sfu, cm.load_global,
-                          cm.store_global, cm.load_shared, cm.store_shared, cm.atomic_global,
-                          cm.barrier, cm.chk_xor, cm.dup_cmp, cm.range_check, cm.equal_check,
-                          cm.chk_validate, cm.spill, cm.scatter_percent,
-                          cm.hauberk_dup_percent, cm.control_block_per_launch, cm.ecc_check,
-                          cm.ecc_encode, cm.ecc_scrub})
-    h = fp_mix(h, v);
-  return h;
-}
-
 }  // namespace
 
 std::shared_ptr<const Device::LaunchPlan> Device::launch_plan(
     const kir::BytecodeProgram& program) {
-  // The decoded stream is always built alongside the cost vector: decoding
-  // is a single O(n) pass (trivial next to the spill analysis).  The
-  // threaded-code stream is compiled only under ExecEngine::Threaded — the
-  // engine kind is part of the cache key, so flipping set_engine() between
-  // launches misses once per engine and can never serve a plan missing the
-  // stream the new engine needs.
-  auto build = [&] {
-    auto plan = std::make_shared<LaunchPlan>();
-    plan->costs = instruction_costs(program, cost_, props_.regs_per_thread,
-                                    props_.protection != ecc::Scheme::None);
-    plan->decoded = kir::decode_program(program, plan->costs);
-    if (engine_ == ExecEngine::Threaded)
-      plan->threaded =
-          kir::compile_threaded(plan->decoded, program.num_slots,
-                                props_.memory_model == MemoryModel::FlatGpu &&
-                                    props_.protection == ecc::Scheme::None);
-    return std::shared_ptr<const LaunchPlan>(std::move(plan));
-  };
-  if (!plan_cache_enabled_) {
-    plan_misses_.fetch_add(1, std::memory_order_relaxed);
-    return build();
-  }
-  const std::uint64_t key =
-      plan_fingerprint(program, cost_, props_.regs_per_thread, engine_, props_.protection);
+  PlanKey key{program.code, program.num_slots, {}, cost_};
+  key.detector_types.reserve(program.detectors.size());
+  for (const kir::DetectorMeta& d : program.detectors)
+    key.detector_types.push_back(d.value_type);
   {
     std::lock_guard<std::mutex> lk(plan_mu_);
-    for (auto it = plan_cache_.begin(); it != plan_cache_.end(); ++it) {
-      if (it->key == key && it->code_size == program.code.size()) {
+    // Most recent first: a campaign's golden plan is usually at the back.
+    for (auto it = plan_cache_.rbegin(); it != plan_cache_.rend(); ++it) {
+      if ((*it)->key == key) {
         plan_hits_.fetch_add(1, std::memory_order_relaxed);
-        PlanEntry hit = *it;
-        plan_cache_.erase(it);
-        plan_cache_.push_back(hit);  // LRU: refresh
-        return hit.plan;
+        std::rotate(std::prev(it.base()), it.base(), plan_cache_.end());  // LRU: refresh
+        return plan_cache_.back();
       }
     }
   }
   plan_misses_.fetch_add(1, std::memory_order_relaxed);
-  auto plan = build();
+  auto plan = std::make_shared<LaunchPlan>();
+  plan->costs = instruction_costs(program, cost_, props_.regs_per_thread,
+                                  props_.protection != ecc::Scheme::None);
+  plan->decoded = kir::decode_program(program, plan->costs);
+  plan->threaded = kir::compile_threaded(plan->decoded, program.num_slots,
+                                         props_.memory_model == MemoryModel::FlatGpu &&
+                                             props_.protection == ecc::Scheme::None);
+  plan->key = std::move(key);
   std::lock_guard<std::mutex> lk(plan_mu_);
   if (plan_cache_.size() >= kPlanCacheCapacity)
     plan_cache_.erase(plan_cache_.begin());  // evict least recently used
-  plan_cache_.push_back(PlanEntry{key, program.code.size(), plan});
-  return plan;
+  plan_cache_.push_back(std::move(plan));
+  return plan_cache_.back();
 }
 
 LaunchResult Device::launch(const kir::BytecodeProgram& program, const LaunchConfig& cfg,

@@ -264,15 +264,14 @@ class Device {
   [[nodiscard]] ExecEngine engine() const noexcept { return engine_; }
 
   // --- launch-plan cache ---
-  // The spill analysis, per-instruction cost vector and compiled streams
-  // depend only on the program, the cost model, the register budget and the
-  // selected engine, yet a SWIFI campaign launches the same program
-  // thousands of times.  The device therefore caches recent plans keyed by
-  // a fingerprint of those inputs; mutating cost_model() or flipping
-  // set_engine() simply changes the fingerprint, so stale entries (e.g. a
-  // plan without the threaded stream) can never be served.
-  void set_plan_cache_enabled(bool on) noexcept { plan_cache_enabled_ = on; }
-  [[nodiscard]] bool plan_cache_enabled() const noexcept { return plan_cache_enabled_; }
+  // A launch plan (spill analysis, per-instruction cost vector, predecoded
+  // and threaded-code streams) is a pure function of the program's code,
+  // its slot count, its detectors' value types and the cost model, yet a
+  // SWIFI campaign launches the same program thousands of times.  The
+  // device therefore caches recent plans keyed by exactly those inputs,
+  // compared in full on lookup, so a hit is always the plan a rebuild would
+  // produce.  Plans are the same for every engine, so set_engine() never
+  // invalidates them; mutating cost_model() changes the key.
   [[nodiscard]] std::uint64_t plan_cache_hits() const noexcept {
     return plan_hits_.load(std::memory_order_relaxed);
   }
@@ -286,26 +285,32 @@ class Device {
   std::atomic<std::uint64_t> fault_injected_ops_{0};
 
  private:
-  /// Everything derived from (program, cost model, register budget, engine)
-  /// that a launch needs: the per-instruction cost vector (reference engine,
-  /// SIMT costing), the predecoded instruction stream with those costs
-  /// folded in (fast engine), and — for ExecEngine::Threaded — the
-  /// threaded-code stream compiled from it (empty otherwise).
+  /// Everything a launch plan is built from.  The register budget,
+  /// protection and memory model also shape the plan, but they are fixed
+  /// per device (props_ never changes), so the per-device cache leaves them
+  /// out.
+  struct PlanKey {
+    std::vector<kir::Instr> code;
+    std::uint16_t num_slots = 0;
+    std::vector<kir::DType> detector_types;
+    CostModel cost;
+
+    bool operator==(const PlanKey&) const = default;
+  };
+  /// Everything a launch needs from its plan: the per-instruction cost
+  /// vector (reference engine, SIMT costing), the predecoded instruction
+  /// stream with those costs folded in (fast and sanitizer engines), and the
+  /// threaded-code stream compiled from it (threaded engine).
   struct LaunchPlan {
+    PlanKey key;
     std::vector<std::uint32_t> costs;
     kir::DecodedProgram decoded;
     kir::ThreadedProgram threaded;
   };
-  struct PlanEntry {
-    std::uint64_t key = 0;
-    std::size_t code_size = 0;  ///< cheap secondary check against hash collisions
-    std::shared_ptr<const LaunchPlan> plan;
-  };
   static constexpr std::size_t kPlanCacheCapacity = 16;
 
-  /// Spill analysis + cost vector + predecoded stream for one launch, served
-  /// from the cache when possible.  The shared_ptr keeps a plan alive across
-  /// eviction.
+  /// The launch plan for `program`, served from the cache when possible.
+  /// The shared_ptr keeps a plan alive across eviction.
   [[nodiscard]] std::shared_ptr<const LaunchPlan> launch_plan(
       const kir::BytecodeProgram& program);
 
@@ -316,8 +321,7 @@ class Device {
   bool disabled_ = false;
   ExecEngine engine_ = ExecEngine::Fast;
 
-  bool plan_cache_enabled_ = true;
-  std::vector<PlanEntry> plan_cache_;  ///< LRU order: most recent at the back
+  std::vector<std::shared_ptr<const LaunchPlan>> plan_cache_;  ///< most recent at the back
   std::mutex plan_mu_;
   std::atomic<std::uint64_t> plan_hits_{0}, plan_misses_{0};
 

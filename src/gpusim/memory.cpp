@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <new>
 #include <stdexcept>
+#include <string>
 
 namespace hauberk::gpusim {
 
@@ -12,8 +13,6 @@ namespace {
 constexpr std::uint32_t kPageWords = 1024;
 constexpr std::uint32_t kGapWords = 257 * kPageWords;  // prime-ish page stride
 }  // namespace
-
-thread_local bool DeviceMemory::tl_ecc_fault_ = false;
 
 DeviceMemory::DeviceMemory(MemoryModel model, std::uint32_t capacity_words,
                            ecc::Scheme protection)
@@ -88,21 +87,27 @@ std::uint32_t DeviceMemory::index_of(std::uint32_t addr) const noexcept {
   return extent_storage_[static_cast<std::size_t>(it - extents_.begin())] + (addr - it->base);
 }
 
+namespace {
+void throw_if_failed(MemAccess r, const char* what) {
+  if (r == MemAccess::EccUncorrectable)
+    throw EccUncorrectableError(std::string(what) + ": uncorrectable ECC error");
+  if (r != MemAccess::Ok) throw std::out_of_range(std::string(what) + ": invalid address");
+}
+}  // namespace
+
 void DeviceMemory::copy_in(std::uint32_t addr, std::span<const std::uint32_t> data) {
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    if (!store(addr + static_cast<std::uint32_t>(i), data[i]))
-      throw std::out_of_range("DeviceMemory::copy_in: invalid address");
-  }
+  for (std::size_t i = 0; i < data.size(); ++i)
+    throw_if_failed(store(addr + static_cast<std::uint32_t>(i), data[i]),
+                    "DeviceMemory::copy_in");
 }
 
 void DeviceMemory::copy_out(std::uint32_t addr, std::span<std::uint32_t> out) const {
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    if (!load(addr + static_cast<std::uint32_t>(i), out[i]))
-      throw std::out_of_range("DeviceMemory::copy_out: invalid address");
-  }
+  for (std::size_t i = 0; i < out.size(); ++i)
+    throw_if_failed(load(addr + static_cast<std::uint32_t>(i), out[i]),
+                    "DeviceMemory::copy_out");
 }
 
-bool DeviceMemory::store_checked(std::uint32_t idx, std::uint32_t value) noexcept {
+MemAccess DeviceMemory::store_checked(std::uint32_t idx, std::uint32_t value) noexcept {
   // A partial (32-bit) write is a read-modify-write of the 64-bit codeword,
   // exactly as in ECC DRAM: the sibling word is EDC-checked first — a latent
   // single-bit error gets corrected (and counted) rather than being silently
@@ -112,23 +117,24 @@ bool DeviceMemory::store_checked(std::uint32_t idx, std::uint32_t value) noexcep
   const std::uint32_t p = idx / 2;
   const std::uint64_t data = static_cast<std::uint64_t>(words_[2 * p]) |
                              (static_cast<std::uint64_t>(words_[2 * p + 1]) << 32);
-  if (ecc::encode(*code_, data) != check_[p] && !repair_pair(p)) return false;
+  if (ecc::encode(*code_, data) != check_[p] && !repair_pair(p))
+    return MemAccess::EccUncorrectable;
   words_[idx] = value;
   const std::uint64_t fresh = static_cast<std::uint64_t>(words_[2 * p]) |
                               (static_cast<std::uint64_t>(words_[2 * p + 1]) << 32);
   check_[p] = ecc::encode(*code_, fresh);
   note_store(idx);
-  return true;
+  return MemAccess::Ok;
 }
 
-bool DeviceMemory::repair_and_load(std::uint32_t idx, std::uint32_t& out) const noexcept {
+MemAccess DeviceMemory::repair_and_load(std::uint32_t idx, std::uint32_t& out) const noexcept {
   // Scrubbing mutates the arena from a logically-const read path; the
   // corrected value is the canonical content, so observable state only moves
   // *toward* the clean codeword.
   auto& self = const_cast<DeviceMemory&>(*this);
-  if (!self.repair_pair(idx / 2)) return false;
+  if (!self.repair_pair(idx / 2)) return MemAccess::EccUncorrectable;
   out = words_[idx];
-  return true;
+  return MemAccess::Ok;
 }
 
 bool DeviceMemory::repair_pair(std::uint32_t pair) noexcept {
@@ -139,7 +145,6 @@ bool DeviceMemory::repair_pair(std::uint32_t pair) noexcept {
   if (dec.bit == ecc::kNoError) return true;  // another thread scrubbed it first
   if (dec.bit == ecc::kUncorrectable) {
     ecc_uncorrectable_.fetch_add(1, std::memory_order_relaxed);
-    tl_ecc_fault_ = true;
     return false;
   }
   words_[2 * pair] = static_cast<std::uint32_t>(dec.data);

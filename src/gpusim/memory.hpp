@@ -25,7 +25,7 @@
 // stored bits *without* re-encoding, modeling a memory-cell upset.  Every
 // device-side read EDC-checks its pair: a single-bit error is corrected,
 // scrubbed back to the array and counted; a double-bit error fails the
-// access with the uncorrectable flag raised (the device turns that into
+// access with MemAccess::EccUncorrectable (the device turns that into
 // LaunchStatus::EccUncorrectable, the machine-check analog).  Protected
 // mode also empties flat_arena(), which routes the fast/threaded engines'
 // raw flat-arena accesses through load()/store() — one hook point, four
@@ -37,6 +37,7 @@
 #include <cstdint>
 #include <mutex>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "gpusim/ecc.hpp"
@@ -47,6 +48,21 @@ enum class MemoryModel { FlatGpu, PagedCpu };
 
 /// Classification of one allocation, for the Fig. 2 footprint accounting.
 enum class AllocClass : std::uint8_t { F32Data, I32Data, PtrData, Other };
+
+/// Outcome of one device-side load/store/rmw.
+enum class MemAccess : std::uint8_t {
+  Ok,
+  OutOfBounds,       ///< invalid address (GPU kernel crash / CPU segfault)
+  EccUncorrectable,  ///< protected memory detected a double-bit error
+};
+
+/// Thrown by copy_in/copy_out when the host copy hits an uncorrectable ECC
+/// error.  Derives from std::out_of_range, which an invalid address throws,
+/// so a caller that does not tell the two apart needs one handler.
+class EccUncorrectableError : public std::out_of_range {
+ public:
+  using std::out_of_range::out_of_range;
+};
 
 class DeviceMemory {
  public:
@@ -61,49 +77,49 @@ class DeviceMemory {
   /// Release all allocations (arena reset between program runs).
   void reset();
 
-  /// Raw access used by host-side code (always bounds-checked, throws).
+  /// Raw access used by host-side code: throws std::out_of_range on an
+  /// invalid address and EccUncorrectableError on an uncorrectable error.
   void copy_in(std::uint32_t addr, std::span<const std::uint32_t> data);
   void copy_out(std::uint32_t addr, std::span<std::uint32_t> out) const;
 
-  /// Device-side access used by the interpreter: returns false on an invalid
-  /// address (the GPU kernel crash / CPU segfault signal) or an uncorrectable
-  /// ECC error (see last_fault_uncorrectable()) instead of throwing, keeping
+  /// Device-side access used by the interpreter: reports an invalid address
+  /// or an uncorrectable ECC error as a status instead of throwing, keeping
   /// the interpreter hot path exception-free.
-  [[nodiscard]] bool load(std::uint32_t addr, std::uint32_t& out) const noexcept {
-    if (!valid(addr)) return fail_oob();
+  [[nodiscard]] MemAccess load(std::uint32_t addr, std::uint32_t& out) const noexcept {
+    if (!valid(addr)) return MemAccess::OutOfBounds;
     const std::uint32_t idx = index_of(addr);
     if (protection_ == ecc::Scheme::None) {
       out = words_[idx];
-      return true;
+      return MemAccess::Ok;
     }
     return load_checked(idx, out);
   }
-  [[nodiscard]] bool store(std::uint32_t addr, std::uint32_t value) noexcept {
-    if (!valid(addr)) return fail_oob();
+  [[nodiscard]] MemAccess store(std::uint32_t addr, std::uint32_t value) noexcept {
+    if (!valid(addr)) return MemAccess::OutOfBounds;
     const std::uint32_t idx = index_of(addr);
     if (protection_ == ecc::Scheme::None) {
       words_[idx] = value;
       note_store(idx);
-      return true;
+      return MemAccess::Ok;
     }
     return store_checked(idx, value);
   }
   /// Read-modify-write for AtomicAddG (callers hold the device's atomic
   /// mutex): `f` maps the current word value to the new one.  Under
   /// protection the read is EDC-checked/corrected and the write re-encodes
-  /// the pair; returns false on an invalid address or an uncorrectable
-  /// error, exactly like load()/store().
+  /// the pair; fails on an invalid address or an uncorrectable error,
+  /// exactly like load()/store().
   template <class F>
-  [[nodiscard]] bool rmw(std::uint32_t addr, F&& f) noexcept {
-    if (!valid(addr)) return fail_oob();
+  [[nodiscard]] MemAccess rmw(std::uint32_t addr, F&& f) noexcept {
+    if (!valid(addr)) return MemAccess::OutOfBounds;
     const std::uint32_t idx = index_of(addr);
     if (protection_ == ecc::Scheme::None) {
       words_[idx] = f(words_[idx]);
       note_store(idx);
-      return true;
+      return MemAccess::Ok;
     }
     std::uint32_t cur;
-    if (!load_checked(idx, cur)) return false;
+    if (const MemAccess r = load_checked(idx, cur); r != MemAccess::Ok) return r;
     return store_checked(idx, f(cur));
   }
 
@@ -230,12 +246,6 @@ class DeviceMemory {
     return ecc_uncorrectable_.load(std::memory_order_relaxed);
   }
 
-  /// Whether this thread's most recent failed load/store/rmw failed because
-  /// of an uncorrectable ECC error (true) or an invalid address (false).
-  /// Thread-local, so concurrent engine workers cannot smear each other's
-  /// crash causes.
-  [[nodiscard]] static bool last_fault_uncorrectable() noexcept { return tl_ecc_fault_; }
-
  private:
   struct Extent {
     std::uint32_t base;
@@ -250,27 +260,22 @@ class DeviceMemory {
     return (n + 1) / 2;
   }
 
-  static bool fail_oob() noexcept {
-    tl_ecc_fault_ = false;
-    return false;
-  }
-
-  [[nodiscard]] bool load_checked(std::uint32_t idx, std::uint32_t& out) const noexcept {
+  [[nodiscard]] MemAccess load_checked(std::uint32_t idx, std::uint32_t& out) const noexcept {
     const std::uint32_t p = idx / 2;
     const std::uint64_t data =
         static_cast<std::uint64_t>(words_[2 * p]) |
         (static_cast<std::uint64_t>(words_[2 * p + 1]) << 32);
     if (ecc::encode(*code_, data) == check_[p]) {
       out = words_[idx];
-      return true;
+      return MemAccess::Ok;
     }
     return repair_and_load(idx, out);
   }
-  [[nodiscard]] bool store_checked(std::uint32_t idx, std::uint32_t value) noexcept;
-  /// Cold path: correct + scrub a pair whose syndrome is nonzero, or raise
-  /// the uncorrectable flag.  Out-of-line; serialized so a pair is counted
-  /// (and scrubbed) exactly once no matter how many threads race on it.
-  bool repair_and_load(std::uint32_t idx, std::uint32_t& out) const noexcept;
+  [[nodiscard]] MemAccess store_checked(std::uint32_t idx, std::uint32_t value) noexcept;
+  /// Cold path: correct + scrub a pair whose syndrome is nonzero, or report
+  /// it uncorrectable.  Out-of-line; serialized so a pair is counted (and
+  /// scrubbed) exactly once no matter how many threads race on it.
+  MemAccess repair_and_load(std::uint32_t idx, std::uint32_t& out) const noexcept;
   [[nodiscard]] bool repair_pair(std::uint32_t pair) noexcept;
 
   void reencode_prefix(std::size_t n) noexcept;
@@ -299,7 +304,6 @@ class DeviceMemory {
   mutable std::mutex scrub_mutex_;
   mutable std::atomic<std::uint64_t> ecc_corrected_{0};
   mutable std::atomic<std::uint64_t> ecc_uncorrectable_{0};
-  static thread_local bool tl_ecc_fault_;
 };
 
 }  // namespace hauberk::gpusim

@@ -70,6 +70,8 @@ struct Instr {
   std::uint16_t b = 0;
   std::uint32_t aux = 0;  ///< op-specific: UnOp/BinOp/BuiltinVal/jump target/detector/site
   std::uint32_t imm = 0;  ///< Const bits; Select else-slot
+
+  bool operator==(const Instr&) const = default;
 };
 
 /// Fault-injection site metadata (one per FIHook, Fig. 12: identifier,

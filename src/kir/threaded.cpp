@@ -71,142 +71,92 @@ constexpr bool is_un(DecodedOp op) noexcept {
   return op >= DecodedOp::NegF && op <= DecodedOp::UnGeneric;
 }
 
-constexpr TOp cmp_jz_top(DecodedOp k) noexcept {
-  switch (k) {
-#define HAUBERK_TOP_M(n) \
-  case DecodedOp::n: return TOp::CmpJz_##n;
-    HAUBERK_TOP_CMP_LIST(HAUBERK_TOP_M)
-#undef HAUBERK_TOP_M
-    default: return TOp::Invalid;
-  }
-}
-constexpr TOp const_cmp_jz_top(DecodedOp k) noexcept {
-  switch (k) {
-#define HAUBERK_TOP_M(n) \
-  case DecodedOp::n: return TOp::ConstCmpJz_##n;
-    HAUBERK_TOP_CMP_LIST(HAUBERK_TOP_M)
-#undef HAUBERK_TOP_M
-    default: return TOp::Invalid;
-  }
-}
-constexpr TOp const_bin_top(DecodedOp k) noexcept {
-  switch (k) {
-#define HAUBERK_TOP_M(n) \
-  case DecodedOp::n: return TOp::ConstBin_##n;
-    HAUBERK_TOP_ALU_LIST(HAUBERK_TOP_M)
-#undef HAUBERK_TOP_M
-    default: return TOp::Invalid;
-  }
-}
-constexpr TOp load_bin_store_top(DecodedOp k) noexcept {
-  switch (k) {
-#define HAUBERK_TOP_M(n) \
-  case DecodedOp::n: return TOp::LoadBinStore_##n;
-    HAUBERK_TOP_ALU_LIST(HAUBERK_TOP_M)
-#undef HAUBERK_TOP_M
-    default: return TOp::Invalid;
-  }
-}
-constexpr TOp bin_chkxor_top(DecodedOp k) noexcept {
-  switch (k) {
-#define HAUBERK_TOP_M(n) \
-  case DecodedOp::n: return TOp::BinChkXor_##n;
-    HAUBERK_TOP_ALU_LIST(HAUBERK_TOP_M)
-#undef HAUBERK_TOP_M
-    default: return TOp::Invalid;
-  }
-}
-constexpr TOp bin_dupcmp_top(DecodedOp k) noexcept {
-  switch (k) {
-#define HAUBERK_TOP_M(n) \
-  case DecodedOp::n: return TOp::BinDupCmp_##n;
-    HAUBERK_TOP_ALU_LIST(HAUBERK_TOP_M)
-#undef HAUBERK_TOP_M
-    default: return TOp::Invalid;
-  }
-}
+/// Position of each DecodedOp in one operator list, -1 when absent.
+using OpIndex = std::array<std::int8_t, static_cast<std::size_t>(DecodedOp::Invalid) + 1>;
+#define HAUBERK_TOP_POS(n) ix[static_cast<std::size_t>(DecodedOp::n)] = i++;
+#define HAUBERK_TOP_INDEX(LIST) \
+  [] {                          \
+    OpIndex ix;                 \
+    ix.fill(-1);                \
+    std::int8_t i = 0;          \
+    LIST(HAUBERK_TOP_POS)       \
+    return ix;                  \
+  }()
+constexpr OpIndex kCmpIndex = HAUBERK_TOP_INDEX(HAUBERK_TOP_CMP_LIST);
+constexpr OpIndex kAluIndex = HAUBERK_TOP_INDEX(HAUBERK_TOP_ALU_LIST);
+constexpr OpIndex kStraightIndex = HAUBERK_TOP_INDEX(HAUBERK_DOP_STRAIGHT);
+#undef HAUBERK_TOP_INDEX
+#undef HAUBERK_TOP_POS
+#define HAUBERK_TOP_ONE(n) +1
+constexpr int kNumAlu = 0 HAUBERK_TOP_ALU_LIST(HAUBERK_TOP_ONE);
+#undef HAUBERK_TOP_ONE
 
+/// One TOp family keyed by an operator list: TOp declares the family's ops
+/// in list order, `stride` apart (the enum interleaves the families that
+/// share a list), from `first`.
+struct Family {
+  const OpIndex& list;
+  TOp first;
+  int stride;
+};
+constexpr Family kCmpJz{kCmpIndex, TOp::CmpJz_LtI, 2};
+constexpr Family kConstCmpJz{kCmpIndex, TOp::ConstCmpJz_LtI, 2};
+constexpr Family kConstBin{kAluIndex, TOp::ConstBin_AddW, 4};
+constexpr Family kLoadBinStore{kAluIndex, TOp::LoadBinStore_AddW, 4};
+constexpr Family kBinChkXor{kAluIndex, TOp::BinChkXor_AddW, 4};
+constexpr Family kBinDupCmp{kAluIndex, TOp::BinDupCmp_AddW, 4};
 /// The zero-accounting variant executed inside a run; TOp::Invalid when the
 /// op can never appear inside one (control transfer, Invalid).
-constexpr TOp naked_top(DecodedOp k) noexcept {
-  switch (k) {
-#define HAUBERK_TOP_M(n) \
-  case DecodedOp::n: return TOp::Nk_##n;
-    HAUBERK_DOP_STRAIGHT(HAUBERK_TOP_M)
-#undef HAUBERK_TOP_M
-    default: return TOp::Invalid;
-  }
+constexpr Family kNaked{kStraightIndex, TOp::Nk_Nop, 1};
+constexpr Family kNkConstBin{kAluIndex, TOp::NkConstBin_AddW, 3};
+constexpr Family kNkBinChkXor{kAluIndex, TOp::NkBinChkXor_AddW, 3};
+constexpr Family kNkBinDupCmp{kAluIndex, TOp::NkBinDupCmp_AddW, 3};
+constexpr Family kNkBinConst{kAluIndex, TOp::NkBinConst_AddW, 4};
+constexpr Family kNkLoadBin{kAluIndex, TOp::NkLoadBin_AddW, 4};
+constexpr Family kNkBinLoad{kAluIndex, TOp::NkBinLoad_AddW, 4};
+constexpr Family kNkConstBinLoad{kAluIndex, TOp::NkConstBinLoad_AddW, 4};
+
+/// The family's TOp for operator `k`; TOp::Invalid when `k` is not in its list.
+constexpr TOp family_top(const Family& f, DecodedOp k) noexcept {
+  const int i = f.list[static_cast<std::size_t>(k)];
+  return i < 0 ? TOp::Invalid : static_cast<TOp>(static_cast<int>(f.first) + f.stride * i);
 }
-constexpr TOp naked_const_bin_top(DecodedOp k) noexcept {
-  switch (k) {
-#define HAUBERK_TOP_M(n) \
-  case DecodedOp::n: return TOp::NkConstBin_##n;
-    HAUBERK_TOP_ALU_LIST(HAUBERK_TOP_M)
-#undef HAUBERK_TOP_M
-    default: return TOp::Invalid;
-  }
-}
-constexpr TOp naked_bin_chkxor_top(DecodedOp k) noexcept {
-  switch (k) {
-#define HAUBERK_TOP_M(n) \
-  case DecodedOp::n: return TOp::NkBinChkXor_##n;
-    HAUBERK_TOP_ALU_LIST(HAUBERK_TOP_M)
-#undef HAUBERK_TOP_M
-    default: return TOp::Invalid;
-  }
-}
-constexpr TOp naked_bin_dupcmp_top(DecodedOp k) noexcept {
-  switch (k) {
-#define HAUBERK_TOP_M(n) \
-  case DecodedOp::n: return TOp::NkBinDupCmp_##n;
-    HAUBERK_TOP_ALU_LIST(HAUBERK_TOP_M)
-#undef HAUBERK_TOP_M
-    default: return TOp::Invalid;
-  }
-}
+/// The NkBinBin tile for the ordered ALU pair (k1, k2).
 constexpr TOp naked_bin_bin_top(DecodedOp k1, DecodedOp k2) noexcept {
-#define HAUBERK_TOP_M(a, b) \
-  if (k1 == DecodedOp::a && k2 == DecodedOp::b) return TOp::NkBinBin_##a##_##b;
-  HAUBERK_TOP_ALU_PAIR_LIST(HAUBERK_TOP_M)
-#undef HAUBERK_TOP_M
-  return TOp::Invalid;
+  const int i = kAluIndex[static_cast<std::size_t>(k1)];
+  const int j = kAluIndex[static_cast<std::size_t>(k2)];
+  return i < 0 || j < 0 ? TOp::Invalid
+                        : static_cast<TOp>(static_cast<int>(TOp::NkBinBin_AddW_AddW) +
+                                           i * kNumAlu + j);
 }
-constexpr TOp naked_bin_const_top(DecodedOp k) noexcept {
-  switch (k) {
-#define HAUBERK_TOP_M(n) \
-  case DecodedOp::n: return TOp::NkBinConst_##n;
-    HAUBERK_TOP_ALU_LIST(HAUBERK_TOP_M)
-#undef HAUBERK_TOP_M
-    default: return TOp::Invalid;
-  }
-}
-constexpr TOp naked_load_bin_top(DecodedOp k) noexcept {
-  switch (k) {
-#define HAUBERK_TOP_M(n) \
-  case DecodedOp::n: return TOp::NkLoadBin_##n;
-    HAUBERK_TOP_ALU_LIST(HAUBERK_TOP_M)
-#undef HAUBERK_TOP_M
-    default: return TOp::Invalid;
-  }
-}
-constexpr TOp naked_bin_load_top(DecodedOp k) noexcept {
-  switch (k) {
-#define HAUBERK_TOP_M(n) \
-  case DecodedOp::n: return TOp::NkBinLoad_##n;
-    HAUBERK_TOP_ALU_LIST(HAUBERK_TOP_M)
-#undef HAUBERK_TOP_M
-    default: return TOp::Invalid;
-  }
-}
-constexpr TOp naked_const_bin_load_top(DecodedOp k) noexcept {
-  switch (k) {
-#define HAUBERK_TOP_M(n) \
-  case DecodedOp::n: return TOp::NkConstBinLoad_##n;
-    HAUBERK_TOP_ALU_LIST(HAUBERK_TOP_M)
-#undef HAUBERK_TOP_M
-    default: return TOp::Invalid;
-  }
-}
+
+// Every family maps every operator of its list to the TOp of that name.
+#define HAUBERK_TOP_CHECK(n)                                         \
+  &&family_top(kCmpJz, DecodedOp::n) == TOp::CmpJz_##n               \
+  && family_top(kConstCmpJz, DecodedOp::n) == TOp::ConstCmpJz_##n
+static_assert(true HAUBERK_TOP_CMP_LIST(HAUBERK_TOP_CHECK));
+#undef HAUBERK_TOP_CHECK
+#define HAUBERK_TOP_CHECK(n)                                             \
+  &&family_top(kConstBin, DecodedOp::n) == TOp::ConstBin_##n             \
+  && family_top(kLoadBinStore, DecodedOp::n) == TOp::LoadBinStore_##n   \
+  && family_top(kBinChkXor, DecodedOp::n) == TOp::BinChkXor_##n         \
+  && family_top(kBinDupCmp, DecodedOp::n) == TOp::BinDupCmp_##n         \
+  && family_top(kNkConstBin, DecodedOp::n) == TOp::NkConstBin_##n       \
+  && family_top(kNkBinChkXor, DecodedOp::n) == TOp::NkBinChkXor_##n     \
+  && family_top(kNkBinDupCmp, DecodedOp::n) == TOp::NkBinDupCmp_##n     \
+  && family_top(kNkBinConst, DecodedOp::n) == TOp::NkBinConst_##n       \
+  && family_top(kNkLoadBin, DecodedOp::n) == TOp::NkLoadBin_##n         \
+  && family_top(kNkBinLoad, DecodedOp::n) == TOp::NkBinLoad_##n         \
+  && family_top(kNkConstBinLoad, DecodedOp::n) == TOp::NkConstBinLoad_##n
+static_assert(true HAUBERK_TOP_ALU_LIST(HAUBERK_TOP_CHECK));
+#undef HAUBERK_TOP_CHECK
+#define HAUBERK_TOP_CHECK(n) &&family_top(kNaked, DecodedOp::n) == TOp::Nk_##n
+static_assert(true HAUBERK_DOP_STRAIGHT(HAUBERK_TOP_CHECK));
+#undef HAUBERK_TOP_CHECK
+#define HAUBERK_TOP_CHECK(a, b) \
+  &&naked_bin_bin_top(DecodedOp::a, DecodedOp::b) == TOp::NkBinBin_##a##_##b
+static_assert(true HAUBERK_TOP_ALU_PAIR_LIST(HAUBERK_TOP_CHECK));
+#undef HAUBERK_TOP_CHECK
 
 /// Ops whose naked handler has a crash exit (and therefore carries the
 /// suffix-refund fields).  A run's *first* op must not be one of these: the
@@ -282,56 +232,13 @@ std::vector<bool> divergent_slots(const DecodedProgram& d, std::uint16_t num_slo
 }  // namespace
 
 const char* top_name(TOp op) noexcept {
-  switch (op) {
-#define HAUBERK_TOP_M(n) \
-  case TOp::n: return #n;
-    HAUBERK_DOP_LIST(HAUBERK_TOP_M)
-#undef HAUBERK_TOP_M
-#define HAUBERK_TOP_M(n)                       \
-  case TOp::CmpJz_##n: return "CmpJz_" #n;     \
-  case TOp::ConstCmpJz_##n: return "ConstCmpJz_" #n;
-    HAUBERK_TOP_CMP_LIST(HAUBERK_TOP_M)
-#undef HAUBERK_TOP_M
-    case TOp::ConstAddJmp: return "ConstAddJmp";
-    case TOp::AddJmp: return "AddJmp";
-#define HAUBERK_TOP_M(n)                                 \
-  case TOp::ConstBin_##n: return "ConstBin_" #n;         \
-  case TOp::LoadBinStore_##n: return "LoadBinStore_" #n; \
-  case TOp::BinChkXor_##n: return "BinChkXor_" #n;       \
-  case TOp::BinDupCmp_##n: return "BinDupCmp_" #n;
-    HAUBERK_TOP_ALU_LIST(HAUBERK_TOP_M)
-#undef HAUBERK_TOP_M
-    case TOp::ChkXor2: return "ChkXor2";
-    case TOp::RangeCheck2: return "RangeCheck2";
-    case TOp::RunHead: return "RunHead";
-#define HAUBERK_TOP_M(n) \
-  case TOp::Nk_##n: return "Nk_" #n;
-    HAUBERK_DOP_STRAIGHT(HAUBERK_TOP_M)
-#undef HAUBERK_TOP_M
-#define HAUBERK_TOP_M(n)                               \
-  case TOp::NkConstBin_##n: return "NkConstBin_" #n;   \
-  case TOp::NkBinChkXor_##n: return "NkBinChkXor_" #n; \
-  case TOp::NkBinDupCmp_##n: return "NkBinDupCmp_" #n;
-    HAUBERK_TOP_ALU_LIST(HAUBERK_TOP_M)
-#undef HAUBERK_TOP_M
-    case TOp::NkChkXor2: return "NkChkXor2";
-    case TOp::NkRangeCheck2: return "NkRangeCheck2";
-#define HAUBERK_TOP_M(a, b) \
-  case TOp::NkBinBin_##a##_##b: return "NkBinBin_" #a "_" #b;
-    HAUBERK_TOP_ALU_PAIR_LIST(HAUBERK_TOP_M)
-#undef HAUBERK_TOP_M
-#define HAUBERK_TOP_M(n)                                       \
-  case TOp::NkBinConst_##n: return "NkBinConst_" #n;           \
-  case TOp::NkLoadBin_##n: return "NkLoadBin_" #n;             \
-  case TOp::NkBinLoad_##n: return "NkBinLoad_" #n;             \
-  case TOp::NkConstBinLoad_##n: return "NkConstBinLoad_" #n;
-    HAUBERK_TOP_ALU_LIST(HAUBERK_TOP_M)
-#undef HAUBERK_TOP_M
-    case TOp::NkConst2: return "NkConst2";
-    case TOp::NkLoadConst: return "NkLoadConst";
-    case TOp::Count_: break;
-  }
-  return "?";
+  static constexpr const char* kNames[] = {
+#define HAUBERK_TOP_X(n) #n,
+      HAUBERK_TOP_LAYOUT
+#undef HAUBERK_TOP_X
+  };
+  const auto i = static_cast<std::size_t>(op);
+  return i < kNumTOps ? kNames[i] : "?";
 }
 
 ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t num_slots,
@@ -398,7 +305,7 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t num_slot
     const DecodedInstr& i1 = d.code[pc + 1];
     const DecodedInstr& i2 = d.code[pc + 2];
     if (i0.op != DecodedOp::Const) return false;
-    if (const TOp top = const_cmp_jz_top(i1.op);
+    if (const TOp top = family_top(kConstCmpJz, i1.op);
         top != TOp::Invalid && i2.op == DecodedOp::Jz && i2.a == i1.dst &&
         (i1.a == i0.dst || i1.b == i0.dst)) {
       ThreadedInstr ti;
@@ -439,7 +346,7 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t num_slot
     if (pc + 1 >= n) return false;
     const DecodedInstr& i0 = d.code[pc];
     const DecodedInstr& i1 = d.code[pc + 1];
-    if (const TOp top = cmp_jz_top(i0.op);
+    if (const TOp top = family_top(kCmpJz, i0.op);
         top != TOp::Invalid && i1.op == DecodedOp::Jz && i1.a == i0.dst) {
       ThreadedInstr ti;
       ti.dst = i0.dst;
@@ -469,7 +376,7 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t num_slot
     const DecodedInstr& i1 = d.code[pc + 1];
     const DecodedInstr& i2 = d.code[pc + 2];
     if (i0.op != DecodedOp::LoadG) return false;
-    if (const TOp top = load_bin_store_top(i1.op);
+    if (const TOp top = family_top(kLoadBinStore, i1.op);
         top != TOp::Invalid && i2.op == DecodedOp::StoreG && i2.b == i1.dst &&
         i2.a != i0.dst && i2.a != i1.dst) {
       ThreadedInstr ti;
@@ -493,7 +400,7 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t num_slot
     const DecodedInstr& i0 = d.code[pc];
     const DecodedInstr& i1 = d.code[pc + 1];
     if (i0.op == DecodedOp::Const) {
-      if (const TOp top = const_bin_top(i1.op);
+      if (const TOp top = family_top(kConstBin, i1.op);
           top != TOp::Invalid && (i1.a == i0.dst || i1.b == i0.dst)) {
         ThreadedInstr ti;
         ti.c = i0.dst;
@@ -505,7 +412,7 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t num_slot
         return true;
       }
     }
-    if (const TOp top = bin_chkxor_top(i0.op);
+    if (const TOp top = family_top(kBinChkXor, i0.op);
         top != TOp::Invalid && i1.op == DecodedOp::ChkXor) {
       ThreadedInstr ti;
       ti.dst = i0.dst;
@@ -516,7 +423,7 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t num_slot
       emit(pc, top, 2, FuseFamily::BinChkXor, ti);
       return true;
     }
-    if (const TOp top = bin_dupcmp_top(i0.op);
+    if (const TOp top = family_top(kBinDupCmp, i0.op);
         top != TOp::Invalid && i1.op == DecodedOp::DupCmp) {
       ThreadedInstr ti;
       ti.dst = i0.dst;
@@ -605,7 +512,7 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t num_slot
     // The 3-op addressing idiom: reloaded offset, address arithmetic, load.
     if (!at_head && pos + 2 < e && i0.op == DecodedOp::Const &&
         d.code[pos + 2].op == DecodedOp::LoadG) {
-      if (const TOp p = naked_const_bin_load_top(i1.op); p != TOp::Invalid) {
+      if (const TOp p = family_top(kNkConstBinLoad, i1.op); p != TOp::Invalid) {
         const DecodedInstr& i2 = d.code[pos + 2];
         ti.op = static_cast<std::uint16_t>(p);
         ti.dst = i0.dst;
@@ -621,7 +528,7 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t num_slot
     if (i0.op == DecodedOp::Const) {
       // Unconditional inside runs: the handler is the exact two-op
       // composition whether or not the second op reads the constant.
-      if (const TOp p = naked_const_bin_top(i1.op); p != TOp::Invalid) {
+      if (const TOp p = family_top(kNkConstBin, i1.op); p != TOp::Invalid) {
         ti.op = static_cast<std::uint16_t>(p);
         ti.c = i0.dst;
         ti.imm = i0.imm;
@@ -640,7 +547,7 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t num_slot
       }
     }
     if (!at_head) {
-      if (const TOp p = naked_bin_chkxor_top(i0.op);
+      if (const TOp p = family_top(kNkBinChkXor, i0.op);
           p != TOp::Invalid && i1.op == DecodedOp::ChkXor) {
         ti.op = static_cast<std::uint16_t>(p);
         ti.dst = i0.dst;
@@ -650,7 +557,7 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t num_slot
         ti.d = i1.a;
         return 2;
       }
-      if (const TOp p = naked_bin_dupcmp_top(i0.op);
+      if (const TOp p = family_top(kNkBinDupCmp, i0.op);
           p != TOp::Invalid && i1.op == DecodedOp::DupCmp) {
         ti.op = static_cast<std::uint16_t>(p);
         ti.dst = i0.dst;
@@ -671,7 +578,7 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t num_slot
       return 2;
     }
     if (i1.op == DecodedOp::Const) {
-      if (const TOp p = naked_bin_const_top(i0.op); p != TOp::Invalid) {
+      if (const TOp p = family_top(kNkBinConst, i0.op); p != TOp::Invalid) {
         ti.op = static_cast<std::uint16_t>(p);
         ti.dst = i0.dst;
         ti.a = i0.a;
@@ -683,7 +590,7 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t num_slot
     }
     if (!at_head) {
       if (i0.op == DecodedOp::LoadG) {
-        if (const TOp p = naked_load_bin_top(i1.op); p != TOp::Invalid) {
+        if (const TOp p = family_top(kNkLoadBin, i1.op); p != TOp::Invalid) {
           ti.op = static_cast<std::uint16_t>(p);
           ti.dst = i0.dst;
           ti.a = i0.a;
@@ -703,7 +610,7 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t num_slot
         }
       }
       if (i1.op == DecodedOp::LoadG) {
-        if (const TOp p = naked_bin_load_top(i0.op); p != TOp::Invalid) {
+        if (const TOp p = family_top(kNkBinLoad, i0.op); p != TOp::Invalid) {
           ti.op = static_cast<std::uint16_t>(p);
           ti.dst = i0.dst;
           ti.a = i0.a;
@@ -750,7 +657,7 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t num_slot
     ThreadedInstr& h = out.code[s];
     if (hl == 0) {
       hl = 1;
-      h.d = static_cast<std::uint16_t>(naked_top(d.code[s].op));
+      h.d = static_cast<std::uint16_t>(family_top(kNaked, d.code[s].op));
     } else {
       const std::uint16_t tile = ht.op;
       h = ht;
@@ -778,7 +685,7 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t num_slot
       // the launch bills exactly the prefix up to and including the
       // crashing op — the fast engine's charge-to-crash semantics.
       ThreadedInstr& nt = out.code[pos];
-      nt.op = static_cast<std::uint16_t>(naked_top(d.code[pos].op));
+      nt.op = static_cast<std::uint16_t>(family_top(kNaked, d.code[pos].op));
       if (can_crash(d.code[pos].op)) set_refund(nt, pos, e);
       role[pos] = 4;
       ++pos;
@@ -789,13 +696,13 @@ ThreadedProgram compile_threaded(const DecodedProgram& d, std::uint16_t num_slot
 
   std::size_t s = 0;
   while (s < n) {
-    if (role[s] != 0 || naked_top(d.code[s].op) == TOp::Invalid) {
+    if (role[s] != 0 || family_top(kNaked, d.code[s].op) == TOp::Invalid) {
       ++s;
       continue;
     }
     std::size_t e = s + 1;
     while (e < n && e - s < 255 && role[e] == 0 && !is_target[e] &&
-           naked_top(d.code[e].op) != TOp::Invalid)
+           family_top(kNaked, d.code[e].op) != TOp::Invalid)
       ++e;
     // Exact-size short segments keep the tighter one-dispatch fused forms.
     if (e - s == 3 && try_lbs(s)) {

@@ -98,57 +98,63 @@ namespace hauberk::kir {
   HAUBERK_TOP_ALU_PAIR_ROW(X, ShrA)     \
   HAUBERK_TOP_ALU_PAIR_ROW(X, LAndW)
 
+// The whole TOp layout in enum order: HAUBERK_TOP_LAYOUT expands
+// HAUBERK_TOP_X(name) once per op.  The enum, top_name's table and the
+// threaded engine's computed-goto label table each define HAUBERK_TOP_X and
+// expand it, so the three cannot drift.  In order:
+//
+//  * singles: every DecodedOp, same numeric value;
+//  * fused superinstructions (always >= kTOpFusedBegin):
+//    [Cmp dst,a,b][Jz dst,target] and [Const c,imm][Cmp dst,a,c][Jz dst,target];
+//    loop back-edges [Const c,imm][AddW dst,a,c][Jmp target] / [AddW][Jmp];
+//    [Const c,imm][Bin dst,a,b], [LoadG c,a][Bin][StoreG], and the detector
+//    tails [Bin][ChkXor] / [Bin][DupCmp], [ChkXor][ChkXor] and
+//    [RangeCheck][RangeCheck];
+//  * straight-line runs: RunHead performs one budget test + one pre-summed
+//    charge for `len` source instructions, then dispatches the naked variant
+//    in `d` (the head's own operands live in the same slot, so the head tile
+//    must not use the d field itself, and must be crash-free — cost/
+//    loop_cost/len carry the region sums, leaving no room for refund data).
+//    Interior slots hold naked singles and naked tiles; crashable naked forms
+//    carry the suffix charge to refund in their (otherwise unused)
+//    cost/loop_cost/len fields;
+//  * naked singles (Nk_*): every op that may appear inside a run, executed
+//    with no budget test, no cost charge and no instruction count — the
+//    RunHead already accounted for the whole region;
+//  * naked tiles: the naked twins of the straight-line fused pairs, then the
+//    generic tiles for the idioms the pair-frequency profile of the workload
+//    suite actually shows inside runs: back-to-back ALU ops, an ALU op next
+//    to a reloaded constant, adjacent constants, loads feeding or fed by an
+//    ALU op, and the 3-op addressing idiom Const+AddW+LoadG.
+#define HAUBERK_TOP_X_CMP(n) HAUBERK_TOP_X(CmpJz_##n) HAUBERK_TOP_X(ConstCmpJz_##n)
+#define HAUBERK_TOP_X_ALU(n)                                           \
+  HAUBERK_TOP_X(ConstBin_##n) HAUBERK_TOP_X(LoadBinStore_##n)          \
+  HAUBERK_TOP_X(BinChkXor_##n) HAUBERK_TOP_X(BinDupCmp_##n)
+#define HAUBERK_TOP_X_NK(n) HAUBERK_TOP_X(Nk_##n)
+#define HAUBERK_TOP_X_NK_ALU(n) \
+  HAUBERK_TOP_X(NkConstBin_##n) HAUBERK_TOP_X(NkBinChkXor_##n) HAUBERK_TOP_X(NkBinDupCmp_##n)
+#define HAUBERK_TOP_X_NK_BINBIN(a, b) HAUBERK_TOP_X(NkBinBin_##a##_##b)
+#define HAUBERK_TOP_X_NK_TILE(n)                                       \
+  HAUBERK_TOP_X(NkBinConst_##n) HAUBERK_TOP_X(NkLoadBin_##n)           \
+  HAUBERK_TOP_X(NkBinLoad_##n) HAUBERK_TOP_X(NkConstBinLoad_##n)
+#define HAUBERK_TOP_LAYOUT                                               \
+  HAUBERK_DOP_LIST(HAUBERK_TOP_X)                                        \
+  HAUBERK_TOP_CMP_LIST(HAUBERK_TOP_X_CMP)                                \
+  HAUBERK_TOP_X(ConstAddJmp) HAUBERK_TOP_X(AddJmp)                       \
+  HAUBERK_TOP_ALU_LIST(HAUBERK_TOP_X_ALU)                                \
+  HAUBERK_TOP_X(ChkXor2) HAUBERK_TOP_X(RangeCheck2)                      \
+  HAUBERK_TOP_X(RunHead)                                                 \
+  HAUBERK_DOP_STRAIGHT(HAUBERK_TOP_X_NK)                                 \
+  HAUBERK_TOP_ALU_LIST(HAUBERK_TOP_X_NK_ALU)                             \
+  HAUBERK_TOP_X(NkChkXor2) HAUBERK_TOP_X(NkRangeCheck2)                  \
+  HAUBERK_TOP_ALU_PAIR_LIST(HAUBERK_TOP_X_NK_BINBIN)                     \
+  HAUBERK_TOP_ALU_LIST(HAUBERK_TOP_X_NK_TILE)                            \
+  HAUBERK_TOP_X(NkConst2) HAUBERK_TOP_X(NkLoadConst)
+
 enum class TOp : std::uint16_t {
-  // --- singles: every DecodedOp, same numeric value ---
-#define HAUBERK_TOP_E(n) n,
-  HAUBERK_DOP_LIST(HAUBERK_TOP_E)
-#undef HAUBERK_TOP_E
-
-  // --- fused superinstructions (always >= FusedBegin) ---
-  // [Cmp dst,a,b][Jz dst,target] and [Const c,imm][Cmp dst,a,c][Jz dst,target]
-#define HAUBERK_TOP_E(n) CmpJz_##n, ConstCmpJz_##n,
-  HAUBERK_TOP_CMP_LIST(HAUBERK_TOP_E)
-#undef HAUBERK_TOP_E
-  // Loop back-edges: [Const c,imm][AddW dst,a,c][Jmp target] / [AddW][Jmp].
-  ConstAddJmp, AddJmp,
-  // [Const c,imm][Bin dst,a,b], [LoadG c,a][Bin][StoreG], and the detector
-  // tails [Bin][ChkXor] / [Bin][DupCmp].
-#define HAUBERK_TOP_E(n) ConstBin_##n, LoadBinStore_##n, BinChkXor_##n, BinDupCmp_##n,
-  HAUBERK_TOP_ALU_LIST(HAUBERK_TOP_E)
-#undef HAUBERK_TOP_E
-  ChkXor2, RangeCheck2,
-
-  // --- straight-line runs ---
-  // RunHead performs one budget test + one pre-summed charge for `len`
-  // source instructions, then dispatches the naked variant in `d` (the
-  // head's own operands live in the same slot, so the head tile must not
-  // use the d field itself, and must be crash-free — cost/loop_cost/len
-  // carry the region sums, leaving no room for refund data).  Interior
-  // slots hold naked singles and naked tiles; crashable naked forms carry
-  // the suffix charge to refund in their (otherwise unused)
-  // cost/loop_cost/len fields.
-  RunHead,
-  // Naked singles: every op that may appear inside a run.  They execute
-  // with no budget test, no cost charge and no instruction count — the
-  // RunHead already accounted for the whole region.
-#define HAUBERK_TOP_E(n) Nk_##n,
-  HAUBERK_DOP_STRAIGHT(HAUBERK_TOP_E)
-#undef HAUBERK_TOP_E
-#define HAUBERK_TOP_E(n) NkConstBin_##n, NkBinChkXor_##n, NkBinDupCmp_##n,
-  HAUBERK_TOP_ALU_LIST(HAUBERK_TOP_E)
-#undef HAUBERK_TOP_E
-  NkChkXor2, NkRangeCheck2,
-  // Generic naked tiles for the idioms the pair-frequency profile of the
-  // workload suite actually shows inside runs: back-to-back ALU ops, an ALU
-  // op next to a reloaded constant, adjacent constants, loads feeding or fed
-  // by an ALU op, and the 3-op addressing idiom Const+AddW+LoadG.
-#define HAUBERK_TOP_E(a, b) NkBinBin_##a##_##b,
-  HAUBERK_TOP_ALU_PAIR_LIST(HAUBERK_TOP_E)
-#undef HAUBERK_TOP_E
-#define HAUBERK_TOP_E(n) NkBinConst_##n, NkLoadBin_##n, NkBinLoad_##n, NkConstBinLoad_##n,
-  HAUBERK_TOP_ALU_LIST(HAUBERK_TOP_E)
-#undef HAUBERK_TOP_E
-  NkConst2, NkLoadConst,
+#define HAUBERK_TOP_X(n) n,
+  HAUBERK_TOP_LAYOUT
+#undef HAUBERK_TOP_X
   Count_,
 };
 

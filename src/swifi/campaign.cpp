@@ -190,12 +190,13 @@ Outcome run_trial(Device& dev, core::KernelJob& job, core::ControlBlock* cb,
   core::ProgramOutput out;
   try {
     out = job.read_output(dev);
-  } catch (const std::out_of_range&) {
+  } catch (const gpusim::EccUncorrectableError&) {
     // The kernel never touched the corrupted pair, but the device->host
     // output copy did: the machine check fires on the copy-out exactly as it
     // would on a device read.  Detected, never silent.
-    return gpusim::DeviceMemory::last_fault_uncorrectable() ? Outcome::EccDetectedUncorrectable
-                                                            : Outcome::Failure;
+    return Outcome::EccDetectedUncorrectable;
+  } catch (const std::out_of_range&) {
+    return Outcome::Failure;
   }
   // Detector alarms keep priority over ECC.  A run that finished clean only
   // because the code corrected a single-bit memory error is EccCorrected

@@ -21,6 +21,8 @@
 
 namespace ecc = hauberk::gpusim::ecc;
 using hauberk::gpusim::DeviceMemory;
+using hauberk::gpusim::EccUncorrectableError;
+using hauberk::gpusim::MemAccess;
 using hauberk::gpusim::MemoryModel;
 
 namespace {
@@ -176,12 +178,12 @@ TEST_P(ProtectedMem, SingleBitDataFaultCorrectedAndScrubbed) {
 
   mem.corrupt_word(base + 1, 0x40u);
   std::uint32_t out = 0;
-  ASSERT_TRUE(mem.load(base + 1, out));
+  ASSERT_EQ(mem.load(base + 1, out), MemAccess::Ok);
   EXPECT_EQ(out, 0x22222222u);
   EXPECT_EQ(mem.ecc_corrected(), 1u);
   // The scrub wrote the corrected pair back: the next access takes the clean
   // fast path and the counter must not move again.
-  ASSERT_TRUE(mem.load(base + 1, out));
+  ASSERT_EQ(mem.load(base + 1, out), MemAccess::Ok);
   EXPECT_EQ(out, 0x22222222u);
   EXPECT_EQ(mem.ecc_corrected(), 1u);
 }
@@ -194,7 +196,7 @@ TEST_P(ProtectedMem, SingleBitCheckFaultCorrected) {
 
   mem.corrupt_check(base, 0x10u);
   std::uint32_t out = 0;
-  ASSERT_TRUE(mem.load(base, out));
+  ASSERT_EQ(mem.load(base, out), MemAccess::Ok);
   EXPECT_EQ(out, 0xCAFEBABEu);
   EXPECT_EQ(mem.ecc_corrected(), 1u);
   EXPECT_EQ(mem.ecc_uncorrectable(), 0u);
@@ -208,10 +210,11 @@ TEST_P(ProtectedMem, DoubleBitDataFaultUncorrectable) {
 
   mem.corrupt_word(base, 0x3u);  // two bits in one word -> one pair
   std::uint32_t out = 0;
-  EXPECT_FALSE(mem.load(base, out));
-  EXPECT_TRUE(DeviceMemory::last_fault_uncorrectable());
+  EXPECT_EQ(mem.load(base, out), MemAccess::EccUncorrectable);
   EXPECT_EQ(mem.ecc_uncorrectable(), 1u);
   EXPECT_EQ(mem.ecc_corrected(), 0u);
+  // The host copy reports the same fault as its own exception type.
+  EXPECT_THROW(mem.copy_out(base, std::span<std::uint32_t>(&out, 1)), EccUncorrectableError);
 }
 
 TEST_P(ProtectedMem, DataPlusCheckDoubleFaultUncorrectable) {
@@ -223,8 +226,7 @@ TEST_P(ProtectedMem, DataPlusCheckDoubleFaultUncorrectable) {
   mem.corrupt_word(base, 0x1u);
   mem.corrupt_check(base, 0x1u);
   std::uint32_t out = 0;
-  EXPECT_FALSE(mem.load(base, out));
-  EXPECT_TRUE(DeviceMemory::last_fault_uncorrectable());
+  EXPECT_EQ(mem.load(base, out), MemAccess::EccUncorrectable);
   EXPECT_EQ(mem.ecc_uncorrectable(), 1u);
 }
 
@@ -238,12 +240,12 @@ TEST_P(ProtectedMem, StoreCorrectsLatentSiblingFault) {
   mem.copy_in(base, vals);
 
   mem.corrupt_word(base, 0x80000000u);
-  ASSERT_TRUE(mem.store(base + 1, 0x99999999u));
+  ASSERT_EQ(mem.store(base + 1, 0x99999999u), MemAccess::Ok);
   EXPECT_EQ(mem.ecc_corrected(), 1u);
   std::uint32_t out = 0;
-  ASSERT_TRUE(mem.load(base, out));
+  ASSERT_EQ(mem.load(base, out), MemAccess::Ok);
   EXPECT_EQ(out, 0x10203040u);
-  ASSERT_TRUE(mem.load(base + 1, out));
+  ASSERT_EQ(mem.load(base + 1, out), MemAccess::Ok);
   EXPECT_EQ(out, 0x99999999u);
   EXPECT_EQ(mem.ecc_corrected(), 1u);
 }
@@ -255,8 +257,7 @@ TEST_P(ProtectedMem, StoreToUncorrectablePairFails) {
   mem.copy_in(base, vals);
 
   mem.corrupt_word(base, 0x6u);
-  EXPECT_FALSE(mem.store(base + 1, 0x7u));
-  EXPECT_TRUE(DeviceMemory::last_fault_uncorrectable());
+  EXPECT_EQ(mem.store(base + 1, 0x7u), MemAccess::EccUncorrectable);
   EXPECT_EQ(mem.ecc_uncorrectable(), 1u);
 }
 
@@ -265,9 +266,9 @@ TEST_P(ProtectedMem, DatapathFaultThroughStoreIsInvisible) {
   // a valid codeword and reads back clean — the gap Hauberk exists to fill.
   DeviceMemory mem(MemoryModel::FlatGpu, 1u << 12, GetParam());
   const auto base = mem.alloc(2);
-  ASSERT_TRUE(mem.store(base, 0xBAD0BAD0u));
+  ASSERT_EQ(mem.store(base, 0xBAD0BAD0u), MemAccess::Ok);
   std::uint32_t out = 0;
-  ASSERT_TRUE(mem.load(base, out));
+  ASSERT_EQ(mem.load(base, out), MemAccess::Ok);
   EXPECT_EQ(out, 0xBAD0BAD0u);
   EXPECT_EQ(mem.ecc_corrected(), 0u);
   EXPECT_EQ(mem.ecc_uncorrectable(), 0u);
@@ -276,8 +277,7 @@ TEST_P(ProtectedMem, DatapathFaultThroughStoreIsInvisible) {
 TEST_P(ProtectedMem, OutOfBoundsIsNotAnEccFault) {
   DeviceMemory mem(MemoryModel::FlatGpu, 1u << 12, GetParam());
   std::uint32_t out = 0;
-  EXPECT_FALSE(mem.load(1u << 20, out));
-  EXPECT_FALSE(DeviceMemory::last_fault_uncorrectable());
+  EXPECT_EQ(mem.load(1u << 20, out), MemAccess::OutOfBounds);
 }
 
 TEST_P(ProtectedMem, FlatArenaFastPathIsDisabled) {
@@ -292,12 +292,12 @@ TEST_P(ProtectedMem, FlatArenaFastPathIsDisabled) {
 TEST_P(ProtectedMem, RmwChecksAndReencodes) {
   DeviceMemory mem(MemoryModel::FlatGpu, 1u << 12, GetParam());
   const auto base = mem.alloc(2);
-  ASSERT_TRUE(mem.store(base, 40u));
+  ASSERT_EQ(mem.store(base, 40u), MemAccess::Ok);
   mem.corrupt_word(base, 0x2u);  // 40 ^ 2 = 42's neighbour; single bit
-  ASSERT_TRUE(mem.rmw(base, [](std::uint32_t v) { return v + 2; }));
+  ASSERT_EQ(mem.rmw(base, [](std::uint32_t v) { return v + 2; }), MemAccess::Ok);
   EXPECT_EQ(mem.ecc_corrected(), 1u);
   std::uint32_t out = 0;
-  ASSERT_TRUE(mem.load(base, out));
+  ASSERT_EQ(mem.load(base, out), MemAccess::Ok);
   EXPECT_EQ(out, 42u);
 }
 
@@ -311,7 +311,7 @@ TEST_P(ProtectedMem, PagedCpuProtectionWorksOnStorageIndices) {
   mem.copy_in(a, vals);
   mem.corrupt_word(0, 0x4u);  // physical word 0 backs the first allocation
   std::uint32_t out = 0;
-  ASSERT_TRUE(mem.load(a, out));
+  ASSERT_EQ(mem.load(a, out), MemAccess::Ok);
   EXPECT_EQ(out, 7u);
   EXPECT_EQ(mem.ecc_corrected(), 1u);
 }
@@ -329,8 +329,8 @@ TEST_P(ProtectedMem, RestoreTrialRestoresCheckArenaBitwise) {
   // A "trial": plant a raw fault, scribble some stores, trigger a scrub.
   mem.corrupt_word(base + 2, 0x8u);
   std::uint32_t out = 0;
-  ASSERT_TRUE(mem.load(base + 2, out));
-  ASSERT_TRUE(mem.store(base + 5, 0xFEEDFACEu));
+  ASSERT_EQ(mem.load(base + 2, out), MemAccess::Ok);
+  ASSERT_EQ(mem.store(base + 5, 0xFEEDFACEu), MemAccess::Ok);
 
   mem.restore_trial(img, chk);
   EXPECT_EQ(mem.image(), img);
@@ -358,7 +358,7 @@ TEST_P(ProtectedMem, RestoreTrialWithoutCheckImageReencodes) {
   mem.restore_trial(img);
   EXPECT_EQ(mem.check_image(), chk);
   std::uint32_t out = 0;
-  ASSERT_TRUE(mem.load(base, out));
+  ASSERT_EQ(mem.load(base, out), MemAccess::Ok);
   EXPECT_EQ(out, 0xAAu);
   EXPECT_EQ(mem.ecc_corrected(), 0u);
 }

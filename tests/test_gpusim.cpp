@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <functional>
+#include <utility>
+#include <vector>
 
 #include "gpusim/device.hpp"
 #include "kir/builder.hpp"
@@ -528,6 +530,151 @@ TEST(Cost, ControlBlockChargeAdded) {
   EXPECT_EQ(r2.cycles - r1.cycles, dev.cost_model().control_block_per_launch);
 }
 
+// --- launch-plan cache ---
+
+namespace {
+
+/// Records the value type of every range-checked operand.  Single-thread
+/// launches only (hooks must otherwise be thread-safe).
+class RangeTypeRecorder : public LaunchHooks {
+ public:
+  bool check_range(int, Value v) override {
+    types.push_back(v.type);
+    return false;
+  }
+  std::vector<DType> types;
+};
+
+std::vector<DType> range_check_types(Device& dev, const BytecodeProgram& prog) {
+  RangeTypeRecorder rec;
+  LaunchOptions opts;
+  opts.hooks = &rec;
+  EXPECT_EQ(dev.launch(prog, LaunchConfig{}, {}, opts).status, LaunchStatus::Ok);
+  return rec.types;
+}
+
+}  // namespace
+
+TEST(PlanCache, DetectorValueTypeSelectsItsOwnPlan) {
+  // The predecoded streams carry each detector's value type, so two programs
+  // that differ only there need two plans.
+  const BytecodeProgram f32_prog = detector_program();
+  BytecodeProgram i32_prog = f32_prog;
+  i32_prog.detectors[0].value_type = DType::I32;
+  const std::vector<DType> f32{DType::F32}, i32{DType::I32};
+
+  Device ref(small_props());
+  ref.set_engine(ExecEngine::Reference);
+  ASSERT_EQ(range_check_types(ref, i32_prog), i32);
+  for (const auto engine : {ExecEngine::Fast, ExecEngine::Threaded}) {
+    Device dev(small_props()), fresh(small_props());
+    dev.set_engine(engine);
+    fresh.set_engine(engine);
+    ASSERT_EQ(range_check_types(dev, f32_prog), f32) << exec_engine_name(engine);
+    EXPECT_EQ(range_check_types(dev, i32_prog), i32) << exec_engine_name(engine);
+    EXPECT_EQ(range_check_types(fresh, i32_prog), i32) << exec_engine_name(engine);
+  }
+}
+
+namespace {
+
+// The 64-bit fingerprint devices once keyed launch plans by: one
+// order-dependent mix per header field, two per instruction, then the cost
+// model.  Each mix is invertible in its input word, so the final
+// instruction's aux/imm word can be chosen to make any program's
+// fingerprint equal any other's of the same length.
+constexpr std::uint64_t kMixAdd = 0x9e3779b97f4a7c15ULL;
+constexpr std::uint64_t kMixMul = 0xbf58476d1ce4e5b9ULL;
+
+constexpr std::uint64_t fp_mix(std::uint64_t h, std::uint64_t v) {
+  h ^= v + kMixAdd + (h << 6) + (h >> 2);
+  h *= kMixMul;
+  return h ^ (h >> 29);
+}
+
+/// The input word w with fp_mix(h, w) == target.
+constexpr std::uint64_t fp_unmix(std::uint64_t h, std::uint64_t target) {
+  std::uint64_t x = target ^ (target >> 29) ^ (target >> 58);  // undo h ^= h >> 29
+  std::uint64_t inv = kMixMul;  // Newton's iteration for kMixMul^-1 mod 2^64
+  for (int i = 0; i < 5; ++i) inv *= 2 - kMixMul * inv;
+  x *= inv;
+  return (x ^ h) - kMixAdd - (h << 6) - (h >> 2);
+}
+
+/// The fingerprint state just before the last instruction's aux/imm word
+/// (unprotected device, default register budget).
+std::uint64_t fp_before_last_word(const BytecodeProgram& p, ExecEngine engine) {
+  std::uint64_t h = fp_mix(0x48415542ULL, p.code.size());
+  h = fp_mix(h, p.num_slots);
+  h = fp_mix(h, DeviceProps{}.regs_per_thread);
+  h = fp_mix(h, static_cast<std::uint64_t>(engine));
+  h = fp_mix(h, 0);  // ecc::Scheme::None
+  for (std::size_t pc = 0; pc < p.code.size(); ++pc) {
+    const Instr& in = p.code[pc];
+    h = fp_mix(h, (static_cast<std::uint64_t>(in.op) << 56) |
+                      (static_cast<std::uint64_t>(in.flags) << 48) |
+                      (static_cast<std::uint64_t>(in.dst) << 32) |
+                      (static_cast<std::uint64_t>(in.a) << 16) | in.b);
+    if (pc + 1 < p.code.size())
+      h = fp_mix(h, (static_cast<std::uint64_t>(in.aux) << 32) | in.imm);
+  }
+  return h;
+}
+
+/// out[0] = `value`: slot 0 is the out pointer, slot 1 the constant.
+BytecodeProgram store_const(float value) {
+  BytecodeProgram p;
+  p.name = "store_const";
+  p.num_params = 1;
+  p.num_slots = 2;
+  p.slot_types = {DType::PTR, DType::F32};
+  p.code = {
+      {OpCode::Const, 0, 1, 0, 0, 0, Value::f32(value).bits},
+      {OpCode::StoreG, 0, 0, 0, 1, 0, 0},
+      {OpCode::Halt, 0, 0, 0, 0, 0, 0},
+  };
+  return p;
+}
+
+/// Launches `prog` and returns what it stored plus its cycle count.
+std::pair<float, std::uint64_t> run_store_const(Device& dev, const BytecodeProgram& prog) {
+  dev.reset_memory();
+  const auto out = dev.mem().alloc(1);
+  const Value args[] = {Value::ptr(out)};
+  const auto res = dev.launch(prog, LaunchConfig{}, args);
+  EXPECT_EQ(res.status, LaunchStatus::Ok);
+  std::uint32_t w = 0;
+  dev.mem().copy_out(out, std::span<std::uint32_t>(&w, 1));
+  return {f32_of(w), res.cycles};
+}
+
+}  // namespace
+
+TEST(PlanCache, FingerprintCollisionIsAMiss) {
+  // B differs from A in one Const immediate, and B's Halt (whose aux/imm no
+  // engine reads) is chosen so that both programs share one fingerprint.
+  // A device that has run A must still run B as B.
+  const BytecodeProgram a = store_const(1.5f);
+  for (const auto engine : {ExecEngine::Fast, ExecEngine::Threaded}) {
+    BytecodeProgram b = store_const(2.5f);
+    const std::uint64_t target = fp_mix(fp_before_last_word(a, engine), 0);
+    const std::uint64_t w = fp_unmix(fp_before_last_word(b, engine), target);
+    b.code.back().aux = static_cast<std::uint32_t>(w >> 32);
+    b.code.back().imm = static_cast<std::uint32_t>(w);
+    ASSERT_EQ(fp_mix(fp_before_last_word(b, engine), w), target);
+
+    Device dev(small_props()), fresh(small_props());
+    dev.set_engine(engine);
+    fresh.set_engine(engine);
+    ASSERT_EQ(run_store_const(dev, a).first, 1.5f);
+    const auto after_a = run_store_const(dev, b);
+    const auto alone = run_store_const(fresh, b);
+    EXPECT_EQ(alone.first, 2.5f) << exec_engine_name(engine);
+    EXPECT_EQ(after_a, alone) << exec_engine_name(engine);
+    EXPECT_EQ(dev.plan_cache_misses(), 2u) << exec_engine_name(engine);
+  }
+}
+
 // --- device fault model (BIST substrate) ---
 
 TEST(FaultModel, PermanentAluFaultCorruptsIntegerResults) {
@@ -693,10 +840,10 @@ TEST(RestoreTrial, ZeroWordTrialIsANoOpThatStaysFresh) {
 
   // Even after a stray scribble above the (empty) staged prefix — the
   // no-page-protection case — restore_trial must wipe it back to zero.
-  ASSERT_TRUE(m.store(10, 0xdeadbeefu));
+  ASSERT_EQ(m.store(10, 0xdeadbeefu), MemAccess::Ok);
   m.restore_trial(img);
   std::uint32_t v = 1;
-  ASSERT_TRUE(m.load(10, v));
+  ASSERT_EQ(m.load(10, v), MemAccess::Ok);
   EXPECT_EQ(v, 0u);
 }
 
@@ -712,17 +859,17 @@ TEST(RestoreTrial, StoreExactlyAtHighWaterBoundaryIsCleared) {
   // Scribble at the exact allocation boundary (first unallocated word) and
   // at the last physical word: both are above the staged prefix and must be
   // zeroed by restore_trial, while the prefix comes back bitwise.
-  ASSERT_TRUE(m.store(8, 0xffffffffu));
-  ASSERT_TRUE(m.store(63, 0xabababab));
+  ASSERT_EQ(m.store(8, 0xffffffffu), MemAccess::Ok);
+  ASSERT_EQ(m.store(63, 0xabababab), MemAccess::Ok);
   // Also corrupt the staged prefix itself.
-  ASSERT_TRUE(m.store(3, 0x12345678u));
+  ASSERT_EQ(m.store(3, 0x12345678u), MemAccess::Ok);
 
   m.restore_trial(staged);
   EXPECT_EQ(m.image(), staged) << "staged prefix must restore bitwise";
   std::uint32_t v = 1;
-  ASSERT_TRUE(m.load(8, v));
+  ASSERT_EQ(m.load(8, v), MemAccess::Ok);
   EXPECT_EQ(v, 0u) << "word at the high-water boundary must be wiped";
-  ASSERT_TRUE(m.load(63, v));
+  ASSERT_EQ(m.load(63, v), MemAccess::Ok);
   EXPECT_EQ(v, 0u) << "last physical word must be wiped";
 }
 
@@ -734,15 +881,15 @@ TEST(RestoreTrial, RestoreAfterRestoreIsIdempotent) {
   m.copy_in(base, data);
   const auto staged = m.image();
 
-  ASSERT_TRUE(m.store(base + 5, 0xcccccccc));
-  ASSERT_TRUE(m.store(40, 0xdddddddd));
+  ASSERT_EQ(m.store(base + 5, 0xcccccccc), MemAccess::Ok);
+  ASSERT_EQ(m.store(40, 0xdddddddd), MemAccess::Ok);
   m.restore_trial(staged);
   const auto after_first = m.image();
   m.restore_trial(staged);  // no intervening stores: must change nothing
   EXPECT_EQ(m.image(), after_first);
   EXPECT_EQ(m.image(), staged);
   std::uint32_t v = 1;
-  ASSERT_TRUE(m.load(40, v));
+  ASSERT_EQ(m.load(40, v), MemAccess::Ok);
   EXPECT_EQ(v, 0u);
 }
 
@@ -772,8 +919,8 @@ TEST(RestoreTrial, PostRestoreImageMatchesFreshDeviceBitwise) {
   EXPECT_EQ(dirty.image(), fresh.image());
   for (std::uint32_t addr = 0; addr < 256; ++addr) {
     std::uint32_t dv = 1, fv = 2;
-    ASSERT_TRUE(dirty.load(addr, dv));
-    ASSERT_TRUE(fresh.load(addr, fv));
+    ASSERT_EQ(dirty.load(addr, dv), MemAccess::Ok);
+    ASSERT_EQ(fresh.load(addr, fv), MemAccess::Ok);
     ASSERT_EQ(dv, fv) << "word " << addr << " differs from a fresh device";
   }
 }
@@ -790,8 +937,8 @@ TEST(RestoreTrial, NoteStoreGrowsTheWatermarkMonotonically) {
   m.note_store(5);  // below the watermark: must not shrink it
   m.restore_trial(staged);
   std::uint32_t v = 1;
-  ASSERT_TRUE(m.load(20, v));
+  ASSERT_EQ(m.load(20, v), MemAccess::Ok);
   EXPECT_EQ(v, 0u);
-  ASSERT_TRUE(m.load(5, v));
+  ASSERT_EQ(m.load(5, v), MemAccess::Ok);
   EXPECT_EQ(v, 0u);
 }
